@@ -42,11 +42,10 @@ bench-sqlexec:
 	go run ./cmd/benchjson -out BENCH_sqlexec.json < bench.out; \
 	status=$$?; rm -f bench.out; exit $$status
 
-# bench-storage measures the columnar storage refactor: the identical probe
-# workloads through the preserved pre-refactor row-based streaming pipeline
-# and the vectorized columnar pipeline (flat, grouped, and the MAS
-# end-to-end verification workload), with in-benchmark three-way
-# equivalence self-checks against the materializing reference. The
+# bench-storage measures the columnar storage engine: the vectorized
+# columnar pipeline on flat, grouped, and the MAS end-to-end verification
+# probe workloads, each with an in-benchmark equivalence self-check against
+# the materializing reference. The
 # BenchmarkMorsel* family rides along at a lower -benchtime (the 300k/1M-row
 # sweep databases make each iteration expensive): the morsel fan-out at
 # explicit worker counts, each configuration equivalence-checked against the

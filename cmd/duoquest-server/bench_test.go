@@ -89,7 +89,7 @@ const benchConcurrency = 8
 
 func benchEngine(b *testing.B, perRequestCaches bool) *server {
 	b.Helper()
-	opts := service.Options{
+	opts := service.Config{
 		Budget:        30 * time.Second,
 		MaxCandidates: 4,
 		MaxStates:     3000,

@@ -234,6 +234,7 @@ func (e *Enumerator) Enumerate(ctx context.Context, nlq string, literals []sqlir
 
 	for pq.Len() > 0 {
 		if res.States >= e.opts.MaxStates {
+			res.Elapsed = time.Since(start)
 			return res, nil
 		}
 		select {

@@ -349,6 +349,24 @@ func TestMaxStatesCap(t *testing.T) {
 	}
 }
 
+// TestMaxStatesCapReportsElapsed: a search stopped by MaxStates reports its
+// elapsed time like every other return path.
+func TestMaxStatesCapReportsElapsed(t *testing.T) {
+	db := movieDB()
+	v := verify.New(db, semrules.Default(), nil, nil)
+	e := New(db, guidance.NewLexicalModel(), v, Options{MaxStates: 50})
+	res, err := e.Enumerate(context.Background(), "movies", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.States != 50 || res.Exhausted {
+		t.Fatalf("states = %d, exhausted = %v; want a search capped at 50 states", res.States, res.Exhausted)
+	}
+	if res.Elapsed <= 0 {
+		t.Errorf("capped search reported Elapsed = %v, want > 0", res.Elapsed)
+	}
+}
+
 // TestEmitStop: returning false from emit stops the search.
 func TestEmitStop(t *testing.T) {
 	db := movieDB()

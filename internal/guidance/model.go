@@ -139,7 +139,8 @@ func (c *Context) WithQuery(q *sqlir.Query) *Context {
 }
 
 // LiteralColumns returns, lazily, how many tagged literals each column
-// contains: text literals by value scan, numeric literals by min/max range.
+// contains: text literals by dictionary lookup, numeric literals by min/max
+// range.
 // Nil when no Database is attached.
 func (c *Context) LiteralColumns() map[sqlir.ColumnRef]int {
 	if c.DB == nil || len(c.Literals) == 0 {
@@ -157,11 +158,9 @@ func (c *Context) LiteralColumns() map[sqlir.ColumnRef]int {
 					continue
 				}
 				if col.Type == sqlir.TypeText {
-					ci := t.ColumnIndex(col.Name)
-					for _, row := range t.Rows() {
-						if row[ci].Equal(lit) {
+					if d := t.Vector(col.Name).Dict(); d != nil {
+						if _, ok := d.Lookup(lit.Text); ok {
 							c.litCols[ref]++
-							break
 						}
 					}
 				} else {

@@ -425,7 +425,8 @@ func insertRows(t *storage.Table, cols []storage.ColumnData, n int) {
 // databases with byte-identical columnar state (same values, same dict
 // code assignment, same null bitmaps) have equal fingerprints; the
 // determinism test requires exactly this across two same-seed runs, the
-// ingestion equivalence test requires it across the bulk and row paths,
+// ingestion equivalence test requires it across the bulk and per-row
+// Insert paths,
 // and the segment store requires it across a persist→load round trip. The
 // implementation lives with the vectors (storage.Fingerprint); this
 // wrapper keeps the historical loadgen call sites working.

@@ -182,14 +182,19 @@ func (s *System) Synthesize(examples []tsq.Tuple) (*Output, error) {
 }
 
 // columnCovers reports whether every example's j-th value occurs in col.
+// A text column's dictionary holds exactly its distinct stored strings, so
+// the scan runs over the dictionary instead of every row; a numeric column
+// has no dictionary and covers no text example.
 func (s *System) columnCovers(col sqlir.ColumnRef, examples []tsq.Tuple, j int) bool {
-	t := s.db.Schema.Table(col.Table)
-	ci := t.ColumnIndex(col.Column)
+	var strs []string
+	if d := s.db.Schema.Table(col.Table).Vector(col.Column).Dict(); d != nil {
+		strs = d.Strings()
+	}
 	for _, ex := range examples {
 		want := ex[j].Val
 		found := false
-		for _, row := range t.Rows() {
-			if row[ci].Kind == sqlir.KindText && equalFold(row[ci].Text, want.Text) {
+		for _, str := range strs {
+			if equalFold(str, want.Text) {
 				found = true
 				break
 			}

@@ -153,7 +153,7 @@ func TestPinnedEpochDifferentialUnderIngest(t *testing.T) {
 // Input.Epoch resolution, shard sharing between equal epochs, pinned-session
 // conflicts, and the loud failure for retired epochs.
 func TestEpochRoutingAndErrors(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 2000, MaxCandidates: 3})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestEpochRoutingAndErrors(t *testing.T) {
 // session must not evict one memo from that session's shared caches, while
 // the next unpinned request observes the new rows.
 func TestServiceZeroEvictionsOnAppend(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 3000, MaxCandidates: 4})
+	e := newTestEngine(t, Config{MaxStates: 3000, MaxCandidates: 4})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestServiceZeroEvictionsOnAppend(t *testing.T) {
 // pinned shard falls out of the live map, but the handle keeps serving its
 // epoch — retirement ends discoverability and per-epoch stats, not reads.
 func TestSnapshotSurvivesShardRetirement(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 2000, MaxCandidates: 3, EpochRetention: 2})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3, EpochRetention: 2})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 // an Append, the next epoch's shard is parked pre-warmed (joins carried or
 // re-materialized) and the first reader adopts it instead of starting cold.
 func TestAppendWarmsNextEpoch(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 3000, MaxCandidates: 4})
+	e := newTestEngine(t, Config{MaxStates: 3000, MaxCandidates: 4})
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestAppendWarmsNextEpoch(t *testing.T) {
 // from the shard map even after sustained ingest has retired the epoch
 // number from storage, and the results stay bit-stable.
 func TestPinSurvivesStorageRetention(t *testing.T) {
-	e := newTestEngine(t, Options{MaxStates: 3000, MaxCandidates: 4})
+	e := newTestEngine(t, Config{MaxStates: 3000, MaxCandidates: 4})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)

@@ -148,11 +148,6 @@ type Config struct {
 	EpochRetention int
 }
 
-// Options is the former name of Config.
-//
-// Deprecated: use Config.
-type Options = Config
-
 // Engine is the process-wide synthesis service. It is safe for concurrent
 // use; create one per process and share it across all requests.
 type Engine struct {

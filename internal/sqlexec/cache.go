@@ -203,26 +203,27 @@ func (c *JoinCache) materialize(ctx context.Context, jp *sqlir.JoinPath) (*relat
 
 // build materializes a join path, reusing the cached prefix relation when
 // one exists: sibling enumeration states that already joined A⋈B extend it
-// by one edge to probe A⋈B⋈C instead of re-joining the whole path. Edgeless
-// or malformed paths go through the reference join, which also reproduces
-// its error messages.
+// by one edge to probe A⋈B⋈C instead of re-joining the whole path. The
+// prefix is the path minus its last canonical edge (orientEdges), whose
+// canonical order is the full path's minus that edge, so an extended
+// prefix lists its tuples in exactly the order a from-scratch join would.
+// Edgeless or malformed paths go through the reference join, which also
+// reproduces its error messages.
 func (c *JoinCache) build(ctx context.Context, jp *sqlir.JoinPath) (*relation, error) {
-	if jp == nil || len(jp.Tables) == 0 || len(jp.Edges) == 0 {
+	if jp == nil || len(jp.Edges) == 0 {
 		c.pc.add(&c.pc.joinsBuilt, 1)
 		return join(ctx, c.db, jp, &c.pc)
 	}
-	pes, _, oerr := orientEdges(c.db, jp)
+	root, pes, _, oerr := orientEdges(c.db, jp)
 	if oerr != nil {
 		c.pc.add(&c.pc.joinsBuilt, 1)
 		return join(ctx, c.db, jp, &c.pc) // malformed; join reports the reference error
 	}
-	last := jp.Edges[len(jp.Edges)-1]
-	lastTable := pes[len(pes)-1].b
-	prefix := &sqlir.JoinPath{Edges: jp.Edges[:len(jp.Edges)-1]}
-	for _, t := range jp.Tables {
-		if t != lastTable {
-			prefix.Tables = append(prefix.Tables, t)
-		}
+	last := pes[len(pes)-1]
+	prefix := &sqlir.JoinPath{Tables: []string{root}}
+	for _, pe := range pes[:len(pes)-1] {
+		prefix.Tables = append(prefix.Tables, pe.b)
+		prefix.Edges = append(prefix.Edges, pe.edge())
 	}
 	c.mu.Lock()
 	_, had := c.m[joinSig(prefix)]

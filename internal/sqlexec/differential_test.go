@@ -1,9 +1,10 @@
 package sqlexec_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/duoquest/duoquest/internal/dataset"
@@ -332,76 +333,116 @@ func TestDifferentialExistsAgreesWithExecute(t *testing.T) {
 }
 
 // TestDifferentialExecutePrefixSharing checks the JoinCache's
-// prefix-extending materialization against the reference executor. A fresh
-// cache must reproduce the reference result exactly — same rows, same order.
-// A cache shared across queries may serve a relation built from an earlier
-// query's edge order for the same canonical table/edge set (that was already
-// true before prefix sharing), so there the result must be bag-identical,
-// with the ORDER BY key sequence identical when ORDER BY is set.
+// prefix-extending materialization against the reference executor. Join
+// tuple order is a function of the path's signature alone, so both a fresh
+// cache and one shared across the whole random query history must
+// reproduce the reference result exactly — same rows, same order.
 func TestDifferentialExecutePrefixSharing(t *testing.T) {
 	for name, db := range diffDBs(t) {
 		t.Run(name, func(t *testing.T) {
 			g := newQueryGen(3, db)
 			shared := sqlexec.NewJoinCache(db)
 			for i := 0; i < 300; i++ {
-				q, orderIdx := g.completeQuery()
+				q, _ := g.completeQuery()
 				if !q.Complete() {
 					t.Fatalf("query %d: generator produced incomplete query %+v", i, q)
 				}
 				want, werr := sqlexec.Execute(db, q)
-
-				// Fresh cache: prefix extension alone must be exact.
-				fresh, ferr := sqlexec.NewJoinCache(db).Execute(q)
-				if (werr != nil) != (ferr != nil) {
-					t.Fatalf("query %d: error divergence: ref=%v fresh=%v", i, werr, ferr)
-				}
-				if werr == nil {
-					if len(want.Rows) != len(fresh.Rows) {
-						t.Fatalf("query %d: %d rows vs %d (fresh cache)", i, len(want.Rows), len(fresh.Rows))
+				for _, c := range []struct {
+					name string
+					jc   *sqlexec.JoinCache
+				}{{"fresh", sqlexec.NewJoinCache(db)}, {"shared", shared}} {
+					got, gerr := c.jc.Execute(q)
+					if (werr != nil) != (gerr != nil) {
+						t.Fatalf("query %d: error divergence: ref=%v %s=%v", i, werr, c.name, gerr)
 					}
-					for ri := range want.Rows {
-						for ci := range want.Rows[ri] {
-							if !want.Rows[ri][ci].Equal(fresh.Rows[ri][ci]) {
-								t.Fatalf("query %d: row %d col %d: %v vs %v (fresh cache)",
-									i, ri, ci, want.Rows[ri][ci], fresh.Rows[ri][ci])
-							}
-						}
+					if werr != nil {
+						continue
 					}
-				}
-
-				// Shared cache: bag equality (modulo LIMIT tie-breaking),
-				// plus the ordered key sequence when ORDER BY is set.
-				got, gerr := shared.Execute(q)
-				if (werr != nil) != (gerr != nil) {
-					t.Fatalf("query %d: error divergence: ref=%v shared=%v", i, werr, gerr)
-				}
-				if werr != nil {
-					continue
-				}
-				if len(want.Rows) != len(got.Rows) {
-					t.Fatalf("query %d: %d rows vs %d (shared cache)", i, len(want.Rows), len(got.Rows))
-				}
-				if orderIdx >= 0 {
-					for ri := range want.Rows {
-						if !want.Rows[ri][orderIdx].Equal(got.Rows[ri][orderIdx]) {
-							t.Fatalf("query %d: ORDER BY key diverges at row %d: %v vs %v",
-								i, ri, want.Rows[ri][orderIdx], got.Rows[ri][orderIdx])
-						}
-					}
-				}
-				if q.LimitSet && q.Limit > 0 && len(want.Rows) == q.Limit {
-					continue // ties at the cutoff may legitimately differ
-				}
-				a, b := rowStrings(want), rowStrings(got)
-				sort.Strings(a)
-				sort.Strings(b)
-				for ri := range a {
-					if a[ri] != b[ri] {
-						t.Fatalf("query %d: result bags differ: %q vs %q", i, a[ri], b[ri])
+					if a, b := rowStrings(want), rowStrings(got); !slices.Equal(a, b) {
+						t.Fatalf("query %d: %s cache result differs from the reference:\n%q\nvs\n%q", i, c.name, b, a)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestJoinOrderIndependentOfHistory pins the tie-order fix: paths that share
+// a signature but list their tables and edges in different orders, run on a
+// fresh engine or on a cache warmed with other prefixes of the same join,
+// all return byte-identical results. Without a canonical join order a
+// cached join could list its rows in a different order than the reference,
+// so ORDER BY ties verified differently depending on what ran before.
+func TestJoinOrderIndependentOfHistory(t *testing.T) {
+	db := dataset.Movies()
+	sa := sqlir.JoinEdge{FromTable: "starring", FromColumn: "aid", ToTable: "actor", ToColumn: "aid"}
+	sm := sqlir.JoinEdge{FromTable: "starring", FromColumn: "mid", ToTable: "movie", ToColumn: "mid"}
+	path := func(tables []string, edges ...sqlir.JoinEdge) *sqlir.JoinPath {
+		return &sqlir.JoinPath{Tables: tables, Edges: edges}
+	}
+	query := func(jp *sqlir.JoinPath) *sqlir.Query {
+		col := func(table, column string) sqlir.SelectItem {
+			return sqlir.SelectItem{Agg: sqlir.AggNone, AggSet: true,
+				Col: sqlir.ColumnRef{Table: table, Column: column}, ColSet: true}
+		}
+		return &sqlir.Query{
+			KWSet: true, SelectCountSet: true, LimitSet: true, From: jp,
+			Select: []sqlir.SelectItem{col("actor", "name"), col("movie", "title"), col("starring", "sid")},
+		}
+	}
+	orders := []*sqlir.JoinPath{
+		path([]string{"starring", "actor", "movie"}, sa, sm),
+		path([]string{"movie", "starring", "actor"}, sm, sa),
+		path([]string{"actor", "starring", "movie"}, sa, sm),
+	}
+	want, err := sqlexec.Execute(db, query(orders[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := rowStrings(want)
+	check := func(label string, res *sqlexec.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got := rowStrings(res); !slices.Equal(got, wantRows) {
+			t.Fatalf("%s: rows differ from the reference:\n%q\nvs\n%q", label, got, wantRows)
+		}
+	}
+	for i, jp := range orders {
+		res, err := sqlexec.Execute(db, query(jp))
+		check(fmt.Sprintf("reference, order %d", i), res, err)
+		res, err = sqlexec.NewJoinCache(db).ExecuteCtx(context.Background(), query(jp))
+		check(fmt.Sprintf("fresh cache, order %d", i), res, err)
+	}
+	// Warm-prefix histories: each two-table prefix, written from either end,
+	// is cached before the three-table join. The canonical root is actor
+	// (the least table name), so actor⋈starring is the prefix the join
+	// extends; movie⋈starring is cached but unused.
+	prefixes := []struct {
+		jp        *sqlir.JoinPath
+		canonical bool
+	}{
+		{path([]string{"movie", "starring"}, sm), false},
+		{path([]string{"starring", "movie"}, sm), false},
+		{path([]string{"actor", "starring"}, sa), true},
+		{path([]string{"starring", "actor"}, sa), true},
+	}
+	for pi, pre := range prefixes {
+		for i, jp := range orders {
+			jc := sqlexec.NewJoinCache(db)
+			warm := query(pre.jp)
+			warm.Select = warm.Select[2:] // starring.sid only
+			if _, err := jc.ExecuteCtx(context.Background(), warm); err != nil {
+				t.Fatal(err)
+			}
+			res, err := jc.ExecuteCtx(context.Background(), query(jp))
+			check(fmt.Sprintf("prefix %d warmed, order %d", pi, i), res, err)
+			if hit := jc.Stats().PrefixHits > 0; hit != pre.canonical {
+				t.Errorf("prefix %d, order %d: prefix hit = %v, want %v", pi, i, hit, pre.canonical)
+			}
+		}
 	}
 }
 
@@ -483,54 +524,33 @@ func TestSumOverTextRejected(t *testing.T) {
 	}
 }
 
-// TestDifferentialColumnarVsRowPath is the three-oracle check behind the
-// columnar storage refactor: on random existence probes over Movies and
-// MAS, the vectorized columnar pipeline, the preserved pre-refactor
-// row-based pipeline, and the materializing reference executor must agree
-// probe-for-probe — same compile coverage, same answers, same errors. The
-// debug row-copy guard is enabled throughout, so any code path that
-// mutated a shared row slice would also surface here as a divergence or a
-// row/column consistency failure.
-func TestDifferentialColumnarVsRowPath(t *testing.T) {
-	prev := storage.SetDebugRowCopies(true)
-	defer storage.SetDebugRowCopies(prev)
-
+// TestDifferentialColumnarVsReference is the differential check behind the
+// columnar storage engine: on random existence probes over Movies and MAS,
+// every probe the vectorized columnar pipeline compiles must agree with the
+// materializing reference executor — same answers, and the pipeline never
+// errors where the reference does not.
+func TestDifferentialColumnarVsReference(t *testing.T) {
 	for name, db := range diffDBs(t) {
 		t.Run(name, func(t *testing.T) {
 			g := newQueryGen(7, db)
 			for i := 0; i < 400; i++ {
 				eq := g.existsQuery()
 				colOK, colHandled, colErr := sqlexec.ExistsStreaming(db, eq)
-				rowOK, rowHandled, rowErr := sqlexec.ExistsRowStream(db, eq)
-				if colHandled != rowHandled {
-					t.Fatalf("probe %d: compile coverage diverges: columnar=%v row=%v", i, colHandled, rowHandled)
-				}
 				if !colHandled {
 					continue
 				}
-				if (colErr != nil) != (rowErr != nil) {
-					t.Fatalf("probe %d: error divergence: columnar=%v row=%v", i, colErr, rowErr)
+				refOK, refErr := sqlexec.ExistsReference(db, eq)
+				if (colErr != nil) != (refErr != nil) {
+					t.Fatalf("probe %d: error divergence: columnar=%v reference=%v", i, colErr, refErr)
 				}
 				if colErr != nil {
-					if colErr.Error() != rowErr.Error() {
-						t.Fatalf("probe %d: error text diverges: %v vs %v", i, colErr, rowErr)
+					if colErr.Error() != refErr.Error() {
+						t.Fatalf("probe %d: error text diverges: %v vs %v", i, colErr, refErr)
 					}
 					continue
 				}
-				if colOK != rowOK {
-					t.Fatalf("probe %d: columnar=%v row=%v for %+v", i, colOK, rowOK, eq)
-				}
-				refOK, refErr := sqlexec.ExistsReference(db, eq)
-				if refErr != nil {
-					t.Fatalf("probe %d: reference errored where streaming did not: %v", i, refErr)
-				}
 				if refOK != colOK {
 					t.Fatalf("probe %d: reference=%v streaming=%v for %+v", i, refOK, colOK, eq)
-				}
-			}
-			for _, tb := range db.Schema.Tables {
-				if err := tb.CheckRowColumnConsistency(); err != nil {
-					t.Fatal(err)
 				}
 			}
 		})

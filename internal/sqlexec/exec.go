@@ -75,7 +75,7 @@ func (c *JoinCache) ExecuteCtx(ctx context.Context, q *sqlir.Query) (*Result, er
 // HAVING and select-aggregate evaluation order is part of the reference
 // error semantics, and after filtering it touches only group-sized data.
 func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqlir.Query, pc *pipelineCounters) (*Result, error) {
-	rows, err := filter(ctx, db, rel, q.Where, q.WhereState, pc)
+	rows, err := filter(ctx, rel, q.Where, q.WhereState, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -100,17 +100,31 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 	}
 	var out []outRow
 
+	sel := make([]colBinding, len(q.Select))
+	for i, s := range q.Select {
+		sel[i] = rel.bind(s.Col)
+	}
+	hasOrder := q.OrderByState == sqlir.ClausePresent
+	var orderCol colBinding
+	if hasOrder {
+		orderCol = rel.bind(q.OrderBy.Key.Col)
+	}
+
 	if needsGroup {
-		groups, err := groupRows(db, rel, rows, q.GroupBy)
+		groups, err := groupRows(rel, rows, q.GroupBy)
 		if err != nil {
 			return nil, err
+		}
+		var havingCol colBinding
+		if q.HavingState == sqlir.ClausePresent {
+			havingCol = rel.bind(q.Having.Col)
 		}
 		for _, g := range groups {
 			if err := cc.tick(); err != nil {
 				return nil, err
 			}
 			if q.HavingState == sqlir.ClausePresent {
-				hv, err := evalAggregate(db, rel, g, q.Having.Agg, q.Having.Col)
+				hv, err := evalAggregate(g, q.Having.Agg, havingCol)
 				if err != nil {
 					return nil, err
 				}
@@ -118,16 +132,16 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 					continue
 				}
 			}
-			r := outRow{}
-			for _, s := range q.Select {
-				v, err := evalAggregate(db, rel, g, s.Agg, s.Col)
+			r := outRow{vals: make([]sqlir.Value, len(sel))}
+			for i, s := range q.Select {
+				v, err := evalAggregate(g, s.Agg, sel[i])
 				if err != nil {
 					return nil, err
 				}
-				r.vals = append(r.vals, v)
+				r.vals[i] = v
 			}
-			if q.OrderByState == sqlir.ClausePresent {
-				v, err := evalAggregate(db, rel, g, q.OrderBy.Key.Agg, q.OrderBy.Key.Col)
+			if hasOrder {
+				v, err := evalAggregate(g, q.OrderBy.Key.Agg, orderCol)
 				if err != nil {
 					return nil, err
 				}
@@ -140,16 +154,16 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 			if err := cc.tick(); err != nil {
 				return nil, err
 			}
-			r := outRow{}
-			for _, s := range q.Select {
-				v, err := colValue(db, rel, tp, s.Col)
+			r := outRow{vals: make([]sqlir.Value, len(sel))}
+			for i, b := range sel {
+				v, err := b.value(tp)
 				if err != nil {
 					return nil, err
 				}
-				r.vals = append(r.vals, v)
+				r.vals[i] = v
 			}
-			if q.OrderByState == sqlir.ClausePresent {
-				v, err := colValue(db, rel, tp, q.OrderBy.Key.Col)
+			if hasOrder {
+				v, err := orderCol.value(tp)
 				if err != nil {
 					return nil, err
 				}
@@ -177,7 +191,7 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 		out = dedup
 	}
 
-	if q.OrderByState == sqlir.ClausePresent {
+	if hasOrder {
 		desc := q.OrderBy.Desc
 		sort.SliceStable(out, func(i, j int) bool {
 			c := out[i].orderKey.Compare(out[j].orderKey)
@@ -199,26 +213,25 @@ func executeOn(ctx context.Context, db *storage.Database, rel *relation, q *sqli
 	return res, nil
 }
 
-// join materializes the join path into a relation of joined tuples using
-// hash joins on the FK-PK edges.
+// join materializes the join path into a relation of joined tuples by
+// index nested-loop joins on the FK-PK edges. The edges are walked in the
+// path's canonical order (orientEdges), so the tuple order depends only on
+// the path's table and edge sets: every path with the same signature
+// materializes the same relation, whichever order its edges were written
+// in and whichever prefix a JoinCache extended.
 func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath, pc *pipelineCounters) (*relation, error) {
-	if jp == nil || len(jp.Tables) == 0 {
-		return nil, fmt.Errorf("sqlexec: empty join path")
+	root, pes, _, err := orientEdges(db, jp)
+	if err != nil {
+		return nil, err
 	}
-	rel := &relation{slots: map[string]int{}}
-	t0 := db.Table(jp.Tables[0])
-	if t0 == nil {
-		return nil, fmt.Errorf("sqlexec: unknown table %s", jp.Tables[0])
-	}
-	rel.slots[t0.Name] = 0
-	rel.tables = append(rel.tables, t0)
+	t0 := db.Table(root)
+	rel := &relation{slots: map[string]int{root: 0}, tables: []*storage.Table{t0}}
 	rel.tuples = make([]tuple, t0.NumRows())
 	for i := range rel.tuples {
 		rel.tuples[i] = tuple{int32(i)}
 	}
-	for _, e := range jp.Edges {
-		var err error
-		rel, err = extendRelation(ctx, db, rel, e, pc)
+	for _, pe := range pes {
+		rel, err = extendRelation(ctx, db, rel, pe, pc)
 		if err != nil {
 			return nil, err
 		}
@@ -226,41 +239,20 @@ func join(ctx context.Context, db *storage.Database, jp *sqlir.JoinPath, pc *pip
 	return rel, nil
 }
 
-// extendRelation joins one more FK-PK edge onto a relation, probing the
-// incoming table's persistent hash index. It returns a new relation and
-// leaves the input untouched, so cached join prefixes can be shared. With a
-// pool in the context the probe loop fans out over morsels of the input
-// tuples; per-morsel output slices are concatenated in morsel order, so the
-// materialized tuple order is identical to the sequential probe.
-func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e sqlir.JoinEdge, pc *pipelineCounters) (*relation, error) {
-	var existing, incoming string
-	if _, ok := rel.slots[e.FromTable]; ok {
-		existing, incoming = e.FromTable, e.ToTable
-	} else if _, ok := rel.slots[e.ToTable]; ok {
-		existing, incoming = e.ToTable, e.FromTable
-	} else {
-		return nil, fmt.Errorf("sqlexec: join edge %s disconnected from path", e)
-	}
-	if _, dup := rel.slots[incoming]; dup {
-		return nil, fmt.Errorf("sqlexec: table %s joined twice", incoming)
-	}
-	nt := db.Table(incoming)
-	if nt == nil {
-		return nil, fmt.Errorf("sqlexec: unknown table %s", incoming)
-	}
-	exCol, inCol := e.FromColumn, e.ToColumn
-	if existing == e.ToTable {
-		exCol, inCol = e.ToColumn, e.FromColumn
-	}
-	exTbl := db.Table(existing)
-	exIdx := exTbl.ColumnIndex(exCol)
-	inIdx := nt.ColumnIndex(inCol)
-	if exIdx < 0 || inIdx < 0 {
-		return nil, fmt.Errorf("sqlexec: join edge %s references unknown column", e)
-	}
-	index, err := nt.Index(inCol)
-	if err != nil {
-		return nil, err
+// extendRelation joins one more FK-PK edge onto a relation: table pe.a is
+// already bound, pe.b is new (orientEdges has validated both), and each
+// input tuple probes pe.b's posting-list index. It returns a new relation
+// and leaves the input untouched, so cached join prefixes can be shared.
+// With a pool in the context the probe loop fans out over morsels of the
+// input tuples; per-morsel output slices are concatenated in morsel order,
+// so the materialized tuple order is identical to the sequential probe.
+func extendRelation(ctx context.Context, db *storage.Database, rel *relation, pe pathEdge, pc *pipelineCounters) (*relation, error) {
+	exSlot := rel.slots[pe.a]
+	nt := db.Table(pe.b)
+	exVec := rel.tables[exSlot].Vector(pe.aCol)
+	index, err := nt.CodeIndex(pe.bCol)
+	if exVec == nil || err != nil {
+		return nil, errEdgeUnknownColumn(pe)
 	}
 	next := &relation{
 		slots:  make(map[string]int, len(rel.slots)+1),
@@ -270,9 +262,7 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 		next.slots[t] = s
 	}
 	slot := len(rel.slots)
-	next.slots[incoming] = slot
-	exSlot := rel.slots[existing]
-	exRows := rel.tables[exSlot]
+	next.slots[pe.b] = slot
 
 	// probeRange extends one range of input tuples into a private output
 	// slice. Tick per output tuple too: a fanning-out edge can append many
@@ -285,11 +275,7 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 			if err := cc.tick(); err != nil {
 				return nil, err
 			}
-			v := exRows.Row(int(tp[exSlot]))[exIdx]
-			if v.IsNull() {
-				continue
-			}
-			for _, m := range index[v] {
+			for _, m := range index.Postings(exVec.Value(int(tp[exSlot]))) {
 				if err := cc.tick(); err != nil {
 					return nil, err
 				}
@@ -334,18 +320,37 @@ func extendRelation(ctx context.Context, db *storage.Database, rel *relation, e 
 	return next, nil
 }
 
-// colValue resolves a column reference against a joined tuple.
-func colValue(db *storage.Database, rel *relation, tp tuple, c sqlir.ColumnRef) (sqlir.Value, error) {
+// colBinding is a column reference resolved against a relation once per
+// query: the tuple slot and that slot's typed column vector. A reference
+// that does not resolve keeps its error, which surfaces only when a cell is
+// actually read — the same point at which a per-cell lookup would fail, so
+// a bad column over an empty relation is still no error.
+type colBinding struct {
+	ref  sqlir.ColumnRef
+	slot int
+	vec  *storage.ColumnVec
+	err  error
+}
+
+// bind resolves a column reference against the relation's slots.
+func (rel *relation) bind(c sqlir.ColumnRef) colBinding {
 	slot, ok := rel.slots[c.Table]
 	if !ok {
-		return sqlir.Null(), fmt.Errorf("sqlexec: column %s not in join path", c)
+		return colBinding{ref: c, err: errColNotInPath(c)}
 	}
-	tbl := rel.tables[slot]
-	ci := tbl.ColumnIndex(c.Column)
-	if ci < 0 {
-		return sqlir.Null(), fmt.Errorf("sqlexec: unknown column %s", c)
+	vec := rel.tables[slot].Vector(c.Column)
+	if vec == nil {
+		return colBinding{ref: c, err: errUnknownCol(c)}
 	}
-	return tbl.Row(int(tp[slot]))[ci], nil
+	return colBinding{ref: c, slot: slot, vec: vec}
+}
+
+// value reads the bound column's cell for one joined tuple.
+func (b *colBinding) value(tp tuple) (sqlir.Value, error) {
+	if b.err != nil {
+		return sqlir.Null(), b.err
+	}
+	return b.vec.Value(int(tp[b.slot])), nil
 }
 
 // filter applies the WHERE clause. With a pool in the context the predicate
@@ -353,10 +358,11 @@ func colValue(db *storage.Database, rel *relation, tp tuple, c sqlir.ColumnRef) 
 // concatenated in morsel order, so the surviving tuples appear in exactly
 // the sequential scan's order (grouping and ORDER BY downstream see
 // bit-identical input).
-func filter(ctx context.Context, db *storage.Database, rel *relation, w sqlir.Where, state sqlir.ClauseState, pc *pipelineCounters) ([]tuple, error) {
+func filter(ctx context.Context, rel *relation, w sqlir.Where, state sqlir.ClauseState, pc *pipelineCounters) ([]tuple, error) {
 	if state != sqlir.ClausePresent || len(w.Preds) == 0 {
 		return rel.tuples, nil
 	}
+	bw := rel.bindWhere(w)
 	filterRange := func(ctx context.Context, lo, hi int) ([]tuple, error) {
 		var out []tuple
 		cc := newCanceller(ctx)
@@ -364,7 +370,7 @@ func filter(ctx context.Context, db *storage.Database, rel *relation, w sqlir.Wh
 			if err := cc.tick(); err != nil {
 				return nil, err
 			}
-			ok, err := evalWhere(db, rel, tp, w)
+			ok, err := bw.eval(tp)
 			if err != nil {
 				return nil, err
 			}
@@ -397,39 +403,62 @@ func filter(ctx context.Context, db *storage.Database, rel *relation, w sqlir.Wh
 	return filterRange(ctx, 0, len(rel.tuples))
 }
 
-// evalWhere evaluates the flat conjunction/disjunction on one tuple.
-func evalWhere(db *storage.Database, rel *relation, tp tuple, w sqlir.Where) (bool, error) {
-	and := w.Conj == sqlir.LogicAnd || len(w.Preds) == 1
-	for _, p := range w.Preds {
-		v, err := colValue(db, rel, tp, p.Col)
+// boundWhere is a flat WHERE clause whose columns are bound once per query.
+type boundWhere struct {
+	and   bool
+	preds []sqlir.Predicate
+	cols  []colBinding
+}
+
+// bindWhere binds every predicate column of a flat WHERE clause.
+func (rel *relation) bindWhere(w sqlir.Where) boundWhere {
+	bw := boundWhere{
+		and:   w.Conj == sqlir.LogicAnd || len(w.Preds) == 1,
+		preds: w.Preds,
+		cols:  make([]colBinding, len(w.Preds)),
+	}
+	for i, p := range w.Preds {
+		bw.cols[i] = rel.bind(p.Col)
+	}
+	return bw
+}
+
+// eval evaluates the flat conjunction/disjunction on one tuple.
+func (bw *boundWhere) eval(tp tuple) (bool, error) {
+	for i, p := range bw.preds {
+		v, err := bw.cols[i].value(tp)
 		if err != nil {
 			return false, err
 		}
 		hit := p.Op.Eval(v, p.Val)
-		if and && !hit {
+		if bw.and && !hit {
 			return false, nil
 		}
-		if !and && hit {
+		if !bw.and && hit {
 			return true, nil
 		}
 	}
-	return and, nil
+	return bw.and, nil
 }
 
 // groupRows partitions tuples by the GROUP BY key. With no GROUP BY columns
 // (pure aggregate query) all rows form a single group; with zero input rows
 // a pure aggregate query still yields one empty group, matching SQL.
-func groupRows(db *storage.Database, rel *relation, rows []tuple, groupBy []sqlir.ColumnRef) ([][]tuple, error) {
+func groupRows(rel *relation, rows []tuple, groupBy []sqlir.ColumnRef) ([][]tuple, error) {
 	if len(groupBy) == 0 {
 		return [][]tuple{rows}, nil
+	}
+	keys := make([]colBinding, len(groupBy))
+	for i, g := range groupBy {
+		keys[i] = rel.bind(g)
 	}
 	idx := map[string]int{}
 	var out [][]tuple
 	var buf []byte // reused key buffer; the key string is allocated once per group
 	for _, tp := range rows {
 		buf = buf[:0]
-		for _, g := range groupBy {
-			v, err := colValue(db, rel, tp, g)
+		for i := range keys {
+			v, err := keys[i].value(tp)
 			if err != nil {
 				return nil, err
 			}
@@ -447,14 +476,14 @@ func groupRows(db *storage.Database, rel *relation, rows []tuple, groupBy []sqli
 
 // evalAggregate computes agg(col) over a group. AggNone returns the first
 // row's value (the column is expected to be in the GROUP BY key).
-func evalAggregate(db *storage.Database, rel *relation, group []tuple, agg sqlir.AggFunc, col sqlir.ColumnRef) (sqlir.Value, error) {
+func evalAggregate(group []tuple, agg sqlir.AggFunc, col colBinding) (sqlir.Value, error) {
 	if agg == sqlir.AggNone {
 		if len(group) == 0 {
 			return sqlir.Null(), nil
 		}
-		return colValue(db, rel, group[0], col)
+		return col.value(group[0])
 	}
-	if agg == sqlir.AggCount && col.IsStar() {
+	if agg == sqlir.AggCount && col.ref.IsStar() {
 		return sqlir.NewInt(len(group)), nil
 	}
 	var (
@@ -464,7 +493,7 @@ func evalAggregate(db *storage.Database, rel *relation, group []tuple, agg sqlir
 		max   sqlir.Value
 	)
 	for _, tp := range group {
-		v, err := colValue(db, rel, tp, col)
+		v, err := col.value(tp)
 		if err != nil {
 			return sqlir.Null(), err
 		}
@@ -472,7 +501,7 @@ func evalAggregate(db *storage.Database, rel *relation, group []tuple, agg sqlir
 			continue
 		}
 		if (agg == sqlir.AggSum || agg == sqlir.AggAvg) && v.Kind != sqlir.KindNumber {
-			return sqlir.Null(), errNonNumericAgg(col, v)
+			return sqlir.Null(), errNonNumericAgg(col.ref, v)
 		}
 		if count == 0 {
 			min, max = v, v

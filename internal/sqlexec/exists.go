@@ -67,7 +67,7 @@ func existsWith(ctx context.Context, db *storage.Database, eq ExistsQuery, pc *p
 	if err != nil {
 		return false, err
 	}
-	return existsOn(ctx, db, rel, eq)
+	return existsOn(ctx, rel, eq)
 }
 
 func errIncomplete(p sqlir.Predicate) error {
@@ -75,9 +75,9 @@ func errIncomplete(p sqlir.Predicate) error {
 }
 
 // existsOn evaluates an exists query against a pre-materialized relation.
-func existsOn(ctx context.Context, db *storage.Database, rel *relation, eq ExistsQuery) (bool, error) {
-	w := sqlir.Where{Conj: eq.Conj, ConjSet: true, Preds: eq.Preds, CountSet: true}
-	wAnd := sqlir.Where{Conj: sqlir.LogicAnd, ConjSet: true, Preds: eq.AndPreds, CountSet: true}
+func existsOn(ctx context.Context, rel *relation, eq ExistsQuery) (bool, error) {
+	w := rel.bindWhere(sqlir.Where{Conj: eq.Conj, ConjSet: true, Preds: eq.Preds, CountSet: true})
+	wAnd := rel.bindWhere(sqlir.Where{Conj: sqlir.LogicAnd, ConjSet: true, Preds: eq.AndPreds, CountSet: true})
 	cc := newCanceller(ctx)
 
 	// match evaluates WHERE (Preds by Conj) AND (AndPreds conjoined).
@@ -86,13 +86,13 @@ func existsOn(ctx context.Context, db *storage.Database, rel *relation, eq Exist
 			return false, err
 		}
 		if len(eq.Preds) > 0 {
-			ok, err := evalWhere(db, rel, tp, w)
+			ok, err := w.eval(tp)
 			if err != nil || !ok {
 				return false, err
 			}
 		}
 		if len(eq.AndPreds) > 0 {
-			ok, err := evalWhere(db, rel, tp, wAnd)
+			ok, err := wAnd.eval(tp)
 			if err != nil || !ok {
 				return false, err
 			}
@@ -124,17 +124,21 @@ func existsOn(ctx context.Context, db *storage.Database, rel *relation, eq Exist
 			rows = append(rows, tp)
 		}
 	}
-	groups, err := groupRows(db, rel, rows, eq.GroupBy)
+	groups, err := groupRows(rel, rows, eq.GroupBy)
 	if err != nil {
 		return false, err
+	}
+	havingCols := make([]colBinding, len(eq.Havings))
+	for i, h := range eq.Havings {
+		havingCols[i] = rel.bind(h.Col)
 	}
 	for _, g := range groups {
 		if len(g) == 0 && len(eq.GroupBy) > 0 {
 			continue
 		}
 		pass := true
-		for _, h := range eq.Havings {
-			hv, err := evalAggregate(db, rel, g, h.Agg, h.Col)
+		for i, h := range eq.Havings {
+			hv, err := evalAggregate(g, h.Agg, havingCols[i])
 			if err != nil {
 				return false, err
 			}

@@ -31,7 +31,7 @@ func MaterializeReference(db *storage.Database, jp *sqlir.JoinPath) (*ReferenceR
 // ExistsOnReference scans a pre-materialized join for a witness, exactly as
 // the pre-streaming executor did.
 func (r *ReferenceRelation) ExistsOnReference(eq ExistsQuery) (bool, error) {
-	return existsOn(context.Background(), r.db, r.rel, eq)
+	return existsOn(context.Background(), r.rel, eq)
 }
 
 // ExistsStreaming answers through the vectorized columnar streaming
@@ -39,13 +39,6 @@ func (r *ReferenceRelation) ExistsOnReference(eq ExistsQuery) (bool, error) {
 // fall back to the materializing path.
 func ExistsStreaming(db *storage.Database, eq ExistsQuery) (ok, handled bool, err error) {
 	return streamExists(context.Background(), db, eq, &discardCounters)
-}
-
-// ExistsRowStream answers through the preserved pre-columnar row-based
-// streaming pipeline (rowstream.go) — the baseline the columnar path is
-// benchmarked and differentially tested against.
-func ExistsRowStream(db *storage.Database, eq ExistsQuery) (ok, handled bool, err error) {
-	return rowStreamExists(db, eq, &discardCounters)
 }
 
 // ExistsReference answers an exists query by materializing the join and
@@ -65,7 +58,7 @@ func ExistsReference(db *storage.Database, eq ExistsQuery) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return existsOn(context.Background(), db, rel, eq)
+	return existsOn(context.Background(), rel, eq)
 }
 
 // ExistsMorsel answers through the morsel-parallel columnar pipeline with an

@@ -10,9 +10,7 @@
 // dictionary code — no string formatting). The pipeline is
 // behavior-preserving: any query shape it cannot compile falls back to the
 // materializing path, and grouped probes keep the reference tuple
-// enumeration order so floating-point aggregates stay bit-identical. The
-// pre-columnar row-based pipeline is preserved in rowstream.go as a second
-// oracle and benchmark baseline.
+// enumeration order so floating-point aggregates stay bit-identical.
 package sqlexec
 
 import (
@@ -20,7 +18,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"github.com/duoquest/duoquest/internal/faultinject"
@@ -112,8 +112,8 @@ func errUnknownCol(c sqlir.ColumnRef) error {
 	return fmt.Errorf("sqlexec: unknown column %s", c)
 }
 
-func errEdgeUnknownColumn() error {
-	return fmt.Errorf("sqlexec: join edge references unknown column")
+func errEdgeUnknownColumn(pe pathEdge) error {
+	return fmt.Errorf("sqlexec: join edge %s references unknown column", pe.edge())
 }
 
 // predKind discriminates the compiled form of a bound predicate.
@@ -291,43 +291,88 @@ func (p *streamPlan) bindCol(c sqlir.ColumnRef) (int, int, error) {
 	return slot, ci, nil
 }
 
-// pathEdge is a join edge oriented by introduction order: table a was bound
-// before table b in the reference executor's edge walk.
+// pathEdge is a join edge oriented by introduction order: table a is bound
+// before table b.
 type pathEdge struct {
 	a, b       string
 	aCol, bCol string
 }
 
-// orientEdges validates a join path exactly like the materializing join and
-// returns its edges oriented from already-bound to newly-introduced table.
-func orientEdges(db *storage.Database, jp *sqlir.JoinPath) ([]pathEdge, map[string]bool, error) {
+// edge returns the oriented edge as a join-path edge.
+func (pe pathEdge) edge() sqlir.JoinEdge {
+	return sqlir.JoinEdge{FromTable: pe.a, FromColumn: pe.aCol, ToTable: pe.b, ToColumn: pe.bCol}
+}
+
+// orientEdges validates a join path, walking its edges in written order so
+// malformed paths report the same error whichever executor sees them, and
+// returns the path in canonical form: its root (the least table name) and
+// its edges in treeOrder from that root. The canonical form depends only on
+// the path's table and edge sets — exactly what joinSig identifies — so
+// every executor enumerates the joined tuples of one signature in one order.
+func orientEdges(db *storage.Database, jp *sqlir.JoinPath) (string, []pathEdge, map[string]bool, error) {
 	if jp == nil || len(jp.Tables) == 0 {
-		return nil, nil, fmt.Errorf("sqlexec: empty join path")
+		return "", nil, nil, fmt.Errorf("sqlexec: empty join path")
 	}
-	if db.Table(jp.Tables[0]) == nil {
-		return nil, nil, fmt.Errorf("sqlexec: unknown table %s", jp.Tables[0])
+	root := jp.Tables[0]
+	if db.Table(root) == nil {
+		return "", nil, nil, fmt.Errorf("sqlexec: unknown table %s", root)
 	}
-	inSet := map[string]bool{jp.Tables[0]: true}
+	inSet := map[string]bool{root: true}
 	pes := make([]pathEdge, 0, len(jp.Edges))
 	for _, e := range jp.Edges {
 		var pe pathEdge
 		switch {
 		case inSet[e.FromTable] && inSet[e.ToTable]:
-			return nil, nil, fmt.Errorf("sqlexec: table %s joined twice", e.ToTable)
+			return "", nil, nil, fmt.Errorf("sqlexec: table %s joined twice", e.ToTable)
 		case inSet[e.FromTable]:
 			pe = pathEdge{a: e.FromTable, b: e.ToTable, aCol: e.FromColumn, bCol: e.ToColumn}
 		case inSet[e.ToTable]:
 			pe = pathEdge{a: e.ToTable, b: e.FromTable, aCol: e.ToColumn, bCol: e.FromColumn}
 		default:
-			return nil, nil, fmt.Errorf("sqlexec: join edge %s disconnected from path", e)
+			return "", nil, nil, fmt.Errorf("sqlexec: join edge %s disconnected from path", e)
 		}
 		if db.Table(pe.b) == nil {
-			return nil, nil, fmt.Errorf("sqlexec: unknown table %s", pe.b)
+			return "", nil, nil, fmt.Errorf("sqlexec: unknown table %s", pe.b)
 		}
 		inSet[pe.b] = true
+		root = min(root, pe.b)
 		pes = append(pes, pe)
 	}
-	return pes, inSet, nil
+	treeOrder(pes, root)
+	return root, pes, inSet, nil
+}
+
+// treeOrder reorders a join tree's edges in place, oriented away from root
+// in breadth-first order and visiting each table's new neighbours in name
+// order: pes[:n] holds the edges placed so far, and their b tables are the
+// walk's queue. The result depends only on the edge set and the root, and it
+// is prefix-closed: the last edge always introduces a leaf, and dropping it
+// leaves exactly the treeOrder of the smaller tree (JoinCache.build relies
+// on this to extend cached prefixes without changing tuple order).
+func treeOrder(pes []pathEdge, root string) {
+	n := 0
+	for qi := -1; qi < n; qi++ {
+		cur := root
+		if qi >= 0 {
+			cur = pes[qi].b
+		}
+		first := n
+		// In a tree every unplaced edge touching cur leads to a new table.
+		for i := n; i < len(pes); i++ {
+			pe := pes[i]
+			switch cur {
+			case pe.a:
+			case pe.b:
+				pe = pathEdge{a: pe.b, b: pe.a, aCol: pe.bCol, bCol: pe.aCol}
+			default:
+				continue
+			}
+			pes[i] = pes[n]
+			pes[n] = pe
+			n++
+		}
+		slices.SortFunc(pes[first:n], func(x, y pathEdge) int { return strings.Compare(x.b, y.b) })
+	}
 }
 
 // splitPreds separates an exists query's predicates into AND-semantics
@@ -345,57 +390,16 @@ func splitPreds(eq ExistsQuery) (andPreds, orRaw []sqlir.Predicate) {
 	return andPreds, orRaw
 }
 
-// walkJoinTree adds every join edge in plan order: reference edge order
-// when the root is the reference root, otherwise a BFS re-rooting at the
-// seed table. Shared by both streaming planners so their enumeration
-// orders stay identical.
-func walkJoinTree(jp *sqlir.JoinPath, pes []pathEdge, root string,
-	addStep func(parent, parentCol, child, childCol string) error) error {
-	if root == jp.Tables[0] {
-		// Reference enumeration order: edges exactly as introduced.
-		for _, pe := range pes {
-			if err := addStep(pe.a, pe.aCol, pe.b, pe.bCol); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Re-root the join tree at the seed table (BFS over the edge set).
-	type half struct{ fromCol, to, toCol string }
-	adj := map[string][]half{}
-	bound := map[string]bool{root: true}
-	for _, pe := range pes {
-		adj[pe.a] = append(adj[pe.a], half{pe.aCol, pe.b, pe.bCol})
-		adj[pe.b] = append(adj[pe.b], half{pe.bCol, pe.a, pe.aCol})
-	}
-	queue := []string{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range adj[cur] {
-			if bound[h.to] {
-				continue
-			}
-			if err := addStep(cur, h.fromCol, h.to, h.toCol); err != nil {
-				return err
-			}
-			bound[h.to] = true
-			queue = append(queue, h.to)
-		}
-	}
-	return nil
-}
-
 // buildStreamPlan compiles an exists query into a vectorized streaming
 // plan. canReorder allows the root to move to the most selective equality
 // predicate's table; it is only sound when tuple enumeration order is
 // immaterial (the plain no-GROUP-BY witness probe). With canReorder false
-// the plan keeps the reference executor's root and edge order, so emitted
-// tuples appear in exactly the order the materializing path would produce
-// them.
+// the plan keeps the path's canonical root and edge order (orientEdges), so
+// emitted tuples appear in exactly the order the materializing path would
+// produce them.
 func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*streamPlan, error) {
 	jp := eq.From
-	pes, inSet, err := orientEdges(db, jp)
+	canonRoot, pes, inSet, err := orientEdges(db, jp)
 	if err != nil {
 		return nil, err
 	}
@@ -404,16 +408,16 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 
 	// Predicate pushdown: seed the pipeline from the smallest posting list
 	// among the AND-semantics equality predicates. Posting lists preserve
-	// row order, so seeding on the reference root table is always sound;
+	// row order, so seeding on the canonical root table is always sound;
 	// moving the root elsewhere additionally requires canReorder.
-	root := jp.Tables[0]
+	root := canonRoot
 	var rootRows []int32
 	seeded, best := false, -1
 	for _, p := range andPreds {
 		if p.Op != sqlir.OpEq || p.Val.IsNull() || !inSet[p.Col.Table] {
 			continue
 		}
-		if !canReorder && p.Col.Table != jp.Tables[0] {
+		if !canReorder && p.Col.Table != canonRoot {
 			continue
 		}
 		t := db.Table(p.Col.Table)
@@ -438,14 +442,14 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 		plan.slots[name] = len(plan.tables)
 		plan.tables = append(plan.tables, db.Table(name))
 	}
-	addStep := func(parent string, parentCol string, child string, childCol string) error {
-		pt, ct := db.Table(parent), db.Table(child)
-		probeCol := pt.ColumnIndex(parentCol)
-		ci := ct.ColumnIndex(childCol)
+	addStep := func(pe pathEdge) error {
+		pt, ct := db.Table(pe.a), db.Table(pe.b)
+		probeCol := pt.ColumnIndex(pe.aCol)
+		ci := ct.ColumnIndex(pe.bCol)
 		if probeCol < 0 || ci < 0 {
-			return errEdgeUnknownColumn()
+			return errEdgeUnknownColumn(pe)
 		}
-		ix, ierr := ct.CodeIndex(childCol)
+		ix, ierr := ct.CodeIndex(pe.bCol)
 		if ierr != nil {
 			return ierr
 		}
@@ -457,15 +461,20 @@ func buildStreamPlan(db *storage.Database, eq ExistsQuery, canReorder bool) (*st
 		case probeVec.Type() == sqlir.TypeText && ct.VectorAt(ci).Type() == sqlir.TypeText:
 			kind = stepText
 		}
-		probeSlot := plan.slots[parent]
-		addTable(child)
+		probeSlot := plan.slots[pe.a]
+		addTable(pe.b)
 		plan.steps = append(plan.steps, streamStep{probeSlot: probeSlot, kind: kind, probeVec: probeVec, idx: ix})
 		return nil
 	}
 
 	addTable(root)
-	if err := walkJoinTree(jp, pes, root, addStep); err != nil {
-		return nil, err
+	if root != canonRoot {
+		treeOrder(pes, root) // re-root the join tree at the seed table
+	}
+	for _, pe := range pes {
+		if err := addStep(pe); err != nil {
+			return nil, err
+		}
 	}
 
 	plan.predsAt = make([][]boundPred, len(plan.tables))

@@ -53,7 +53,7 @@ func TestGroupedSumOverTextLazyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOK, refErr := existsOn(context.Background(), db, refRel, eq)
+	refOK, refErr := existsOn(context.Background(), refRel, eq)
 	gotOK, gotErr := Exists(db, eq)
 	if refErr != nil || gotErr != nil {
 		t.Fatalf("short-circuited SUM must not error: ref=%v stream=%v", refErr, gotErr)
@@ -65,7 +65,7 @@ func TestGroupedSumOverTextLazyError(t *testing.T) {
 	// COUNT(*) >= 1 passes, so SUM(name) is evaluated: both paths must
 	// report the same non-numeric error.
 	eq.Havings = []sqlir.HavingExpr{countStar(sqlir.OpGe, 1), sumName}
-	_, refErr = existsOn(context.Background(), db, refRel, eq)
+	_, refErr = existsOn(context.Background(), refRel, eq)
 	_, gotErr = Exists(db, eq)
 	if refErr == nil || gotErr == nil {
 		t.Fatalf("evaluated SUM over text must error: ref=%v stream=%v", refErr, gotErr)

@@ -1,10 +1,9 @@
-// Columnar storage: every table column is additionally held as a typed
-// vector — []float64 for numeric columns, dictionary-encoded []uint32 codes
-// plus an interned string table for text columns, and a null bitmap for
-// both. The vectors are the authoritative representation for the vectorized
-// execution path in sqlexec; the historical row API (Row/Rows) is kept in
-// sync by Insert as a thin adapter so the materializing reference executor
-// is untouched during the migration.
+// Columnar storage: every table column is held as a typed vector —
+// []float64 for numeric columns, dictionary-encoded []uint32 codes plus an
+// interned string table for text columns, and a null bitmap for both. The
+// vectors are the only representation of table data; every executor in
+// sqlexec reads them directly, and CodeIndex is the one index family over
+// them.
 package storage
 
 import (
@@ -230,13 +229,13 @@ func (v *ColumnVec) vectorBytes() int64 {
 	return int64(len(v.nums))*8 + int64(len(v.codes))*4 + int64(len(v.nulls))*8
 }
 
-// CodeIndex is a typed posting-list index over one column, the vectorized
-// analogue of Table.Index: numeric columns key postings by float value,
-// text columns by dictionary code (a dense slice, not a map). Columns whose
-// non-null values are all integers in a compact range — the FK/PK id
-// columns every join probes — get a dense array index instead of a hash
-// map, so a join probe is an array load rather than a float hash. Posting
-// lists preserve row order. Built lazily, memoized until the next Insert.
+// CodeIndex is a typed posting-list index over one column: numeric columns
+// key postings by float value, text columns by dictionary code (a dense
+// slice, not a map). Columns whose non-null values are all integers in a
+// compact range — the FK/PK id columns every join probes — get a dense
+// array index instead of a hash map, so a join probe is an array load
+// rather than a float hash. Posting lists preserve row order. Built lazily,
+// memoized until the next Insert.
 type CodeIndex struct {
 	once sync.Once
 	vec  *ColumnVec
@@ -290,7 +289,7 @@ func (ix *CodeIndex) TextString(s string) []int32 {
 
 // Postings returns the posting list for an arbitrary value: typed lookups
 // for matching kinds, nil for NULL or kind-mismatched probes (a text value
-// never matches a numeric column, exactly as the value-keyed index).
+// never matches a numeric column).
 func (ix *CodeIndex) Postings(v sqlir.Value) []int32 {
 	switch {
 	case v.Kind == sqlir.KindNumber && ix.vec.typ == sqlir.TypeNumber:
@@ -335,26 +334,34 @@ func (ix *CodeIndex) build() {
 // extendFrom populates the index from the previous epoch's ready index over
 // the same column: posting lists are shared cap-clamped (delta appends
 // reallocate instead of writing into the base's arrays) and only rows
-// [baseN, vec.n) are scanned. Reports false when the delta cannot keep the
-// base's dense layout — a non-integer or out-of-range value would shift
-// every slot — in which case the caller falls back to a full lazy build.
+// [baseN, vec.n) are scanned. A dense index grows its array to cover delta
+// values past either end — the normal case for append-only id columns — as
+// long as the widened range still passes buildDense's density rule. Reports
+// false when it does not (or a delta value is not an integer), in which
+// case the caller falls back to a full lazy build.
 func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
 	vec := ix.vec
 	switch {
 	case base.dense != nil:
+		lo, hi := float64(base.off), float64(base.off+len(base.dense)-1)
 		for i := baseN; i < vec.n; i++ {
 			if vec.IsNull(i) {
 				continue
 			}
 			f := vec.nums[i]
-			if f != math.Trunc(f) || f < float64(base.off) || f >= float64(base.off+len(base.dense)) {
+			if !denseValue(f) {
 				return false
 			}
+			lo, hi = min(lo, f), max(hi, f)
 		}
-		ix.off = base.off
-		ix.dense = make([][]int32, len(base.dense))
+		if !denseWidthOK(lo, hi, vec.n-vec.nullCount) {
+			return false
+		}
+		ix.off = int(lo)
+		ix.dense = make([][]int32, int(hi-lo)+1)
+		shift := base.off - ix.off
 		for s, list := range base.dense {
-			ix.dense[s] = list[:len(list):len(list)]
+			ix.dense[s+shift] = list[:len(list):len(list)]
 		}
 		for i := baseN; i < vec.n; i++ {
 			if vec.IsNull(i) {
@@ -396,9 +403,20 @@ func (ix *CodeIndex) extendFrom(base *CodeIndex, baseN int) bool {
 	return true
 }
 
+// denseValue reports whether a value can live in a dense array index.
+func denseValue(f float64) bool {
+	return f == math.Trunc(f) && math.Abs(f) <= 1<<31
+}
+
+// denseWidthOK is the density rule: the value range [lo, hi] must stay
+// within a small multiple of the non-null row count, so id-like columns
+// qualify and sparse ones fall back to the map.
+func denseWidthOK(lo, hi float64, nonNull int) bool {
+	return hi-lo+1 <= float64(4*nonNull)+1024
+}
+
 // buildDense tries the array-backed layout: every non-null value must be an
-// integer and the value range must stay within a small multiple of the row
-// count (so id-like columns qualify and sparse ones fall back to the map).
+// integer and the value range must pass the density rule (denseWidthOK).
 // Reports whether the dense index was built.
 func (ix *CodeIndex) buildDense() bool {
 	vec := ix.vec
@@ -412,22 +430,16 @@ func (ix *CodeIndex) buildDense() bool {
 			continue
 		}
 		f := vec.nums[i]
-		if f != math.Trunc(f) || math.Abs(f) > 1<<31 {
+		if !denseValue(f) {
 			return false
 		}
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
+		lo, hi = min(lo, f), max(hi, f)
 	}
-	width := hi - lo + 1
-	if width > float64(4*nonNull)+1024 {
+	if !denseWidthOK(lo, hi, nonNull) {
 		return false // sparse ids: a dense array would be mostly holes
 	}
 	ix.off = int(lo)
-	ix.dense = make([][]int32, int(width))
+	ix.dense = make([][]int32, int(hi-lo)+1)
 	for i := 0; i < vec.n; i++ {
 		if vec.IsNull(i) {
 			continue
@@ -439,8 +451,9 @@ func (ix *CodeIndex) buildDense() bool {
 }
 
 // Vector returns the named column's typed vector, or nil if the column does
-// not exist. The vector is live: Insert extends it in place, so like Rows
-// the snapshot is only stable while no concurrent Insert runs.
+// not exist. The vector is live: Insert extends it in place, so it is only
+// stable while no concurrent Insert runs (frozen snapshot tables never
+// change).
 func (t *Table) Vector(col string) *ColumnVec {
 	ci := t.ColumnIndex(col)
 	if ci < 0 {
@@ -453,15 +466,15 @@ func (t *Table) Vector(col string) *ColumnVec {
 func (t *Table) VectorAt(ci int) *ColumnVec { return &t.vecs[ci] }
 
 // CodeIndex returns the typed posting-list index of the named column,
-// lazily built and memoized until the next Insert — the code-keyed
-// counterpart of Index used by the vectorized streaming pipeline.
+// lazily built and memoized until the next Insert. Join probes and
+// equality-predicate seeding in every sqlexec executor go through it.
 func (t *Table) CodeIndex(col string) (*CodeIndex, error) {
 	ci := t.ColumnIndex(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("storage: table %s: no column %s", t.Name, col)
 	}
 	t.adoptBase()
-	t.hashMu.Lock()
+	t.idxMu.Lock()
 	if t.codeIdx == nil {
 		t.codeIdx = map[int]*CodeIndex{}
 	}
@@ -470,7 +483,7 @@ func (t *Table) CodeIndex(col string) (*CodeIndex, error) {
 		ix = &CodeIndex{vec: &t.vecs[ci]}
 		t.codeIdx[ci] = ix
 	}
-	t.hashMu.Unlock()
+	t.idxMu.Unlock()
 	ix.once.Do(ix.build)
 	ix.ready.Store(true)
 	return ix, nil

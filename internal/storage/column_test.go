@@ -60,7 +60,7 @@ func TestDictInterning(t *testing.T) {
 	}
 }
 
-// Null bitmap and typed accessors agree with the row representation.
+// Null bitmap and typed accessors agree with the inserted values.
 func TestVectorNullsAndValues(t *testing.T) {
 	tb := colTable(t)
 	tag, score := tb.Vector("tag"), tb.Vector("score")
@@ -76,20 +76,24 @@ func TestVectorNullsAndValues(t *testing.T) {
 	if score.Num(2) != -2 || score.Num(3) != 0 {
 		t.Errorf("score nums = %v, %v", score.Num(2), score.Num(3))
 	}
-	for ri := 0; ri < tb.NumRows(); ri++ {
-		for ci := range tb.Columns {
-			if got, want := tb.VectorAt(ci).Value(ri), tb.Row(ri)[ci]; !got.Equal(want) {
-				t.Errorf("vector value (%d,%d) = %s, row has %s", ri, ci, got, want)
+	want := [][]sqlir.Value{
+		{sqlir.NewNumber(1), sqlir.NewText("red"), sqlir.NewNumber(1.5)},
+		{sqlir.NewNumber(2), sqlir.NewText("blue"), sqlir.Null()},
+		{sqlir.NewNumber(3), sqlir.NewText("red"), sqlir.NewNumber(-2)},
+		{sqlir.NewNumber(4), sqlir.Null(), sqlir.NewNumber(0)},
+		{sqlir.NewNumber(5), sqlir.NewText("green"), sqlir.NewNumber(1.5)},
+	}
+	for ri, row := range want {
+		for ci, w := range row {
+			if got := tb.VectorAt(ci).Value(ri); !got.Equal(w) {
+				t.Errorf("vector value (%d,%d) = %s, inserted %s", ri, ci, got, w)
 			}
 		}
 	}
-	if err := tb.CheckRowColumnConsistency(); err != nil {
-		t.Error(err)
-	}
 }
 
-// The typed code index serves the same posting lists as the value-keyed
-// index, for both numeric and text columns, and misses cleanly.
+// The typed code index serves row-ordered posting lists for both numeric
+// and text columns, and misses cleanly.
 func TestCodeIndexPostings(t *testing.T) {
 	tb := colTable(t)
 	ix, err := tb.CodeIndex("tag")
@@ -117,21 +121,9 @@ func TestCodeIndexPostings(t *testing.T) {
 	if got := nix.Num(0); len(got) != 1 || got[0] != 3 {
 		t.Errorf("0 postings = %v, want [3]", got)
 	}
-
-	// The value-keyed index must agree.
-	old, err := tb.Index("tag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, want := range old {
-		got := ix.Postings(v)
-		if len(got) != len(want) {
-			t.Errorf("postings for %s: code index %v, value index %v", v, got, want)
-		}
-	}
 }
 
-// Insert invalidates the code index exactly like the value-keyed one.
+// Insert invalidates a built text code index.
 func TestCodeIndexInvalidatedByInsert(t *testing.T) {
 	tb := colTable(t)
 	ix, err := tb.CodeIndex("tag")
@@ -194,41 +186,6 @@ func TestFootprint(t *testing.T) {
 	}
 	if tfs[0].VectorBytes == 0 || tfs[0].DictBytes == 0 {
 		t.Errorf("database footprint bytes = %+v", tfs[0])
-	}
-}
-
-// With the debug guard on, mutating a slice returned by Rows or Row cannot
-// corrupt table data — the satellite test for the "callers must not mutate"
-// contract: accidental writes through the shared slice are caught because
-// they no longer reach the table at all.
-func TestRowsMutationGuard(t *testing.T) {
-	prev := SetDebugRowCopies(true)
-	defer SetDebugRowCopies(prev)
-
-	tb := colTable(t)
-	rows := tb.Rows()
-	rows[0][1] = sqlir.NewText("MUTATED")
-	tb.Row(2)[1] = sqlir.NewText("MUTATED")
-
-	if got := tb.Row(0)[1]; !got.Equal(sqlir.NewText("red")) {
-		t.Errorf("row 0 tag = %s after mutation through Rows(), want 'red'", got)
-	}
-	if got := tb.Rows()[2][1]; !got.Equal(sqlir.NewText("red")) {
-		t.Errorf("row 2 tag = %s after mutation through Row(), want 'red'", got)
-	}
-	if err := tb.CheckRowColumnConsistency(); err != nil {
-		t.Errorf("consistency after guarded mutation: %v", err)
-	}
-}
-
-// Without the guard the shared-slice contract is caught by the row/column
-// consistency check — the columnar vectors are authoritative and do not see
-// writes through the adapter.
-func TestConsistencyCatchesSharedSliceMutation(t *testing.T) {
-	tb := colTable(t)
-	tb.Rows()[0][1] = sqlir.NewText("MUTATED")
-	if err := tb.CheckRowColumnConsistency(); err == nil {
-		t.Fatal("mutation through the shared slice went undetected")
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestConcurrentAppendAndSnapshots(t *testing.T) {
 					return
 				}
 				checkRows(t, snap.Table("ev"), n)
-				if _, err := snap.Table("ev").Index("name"); err != nil {
+				if _, err := snap.Table("ev").CodeIndex("name"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -183,4 +184,141 @@ func TestConcurrentAppendAndSnapshots(t *testing.T) {
 	}
 	wg.Wait()
 	checkRows(t, db.Snapshot().Table("ev"), 5+batches*rowsPer)
+}
+
+// adoptDB builds a table with one column per CodeIndex layout: a dense
+// integer id, a sparse (non-integer) numeric score and a text name.
+func adoptDB() *Database {
+	tb := NewTable("ev", "id",
+		Column{"id", sqlir.TypeNumber},
+		Column{"score", sqlir.TypeNumber},
+		Column{"name", sqlir.TypeText},
+	)
+	return NewDatabase("adopt", NewSchema(tb))
+}
+
+// adoptBatch returns rows with the given ids; scores repeat every 5 ids
+// below 100 and take partly new values from 100 on, names are drawn from
+// the given alphabet, and every 7th id is NULL in the score and name
+// columns.
+func adoptBatch(ids []float64, names []string) []ColumnData {
+	n := len(ids)
+	scores := make([]float64, n)
+	texts := make([]string, n)
+	nulls := make([]bool, n)
+	for i, id := range ids {
+		nulls[i] = int(id)%7 == 3
+		if !nulls[i] {
+			scores[i] = float64(int(id)%5) * 1000.25
+			if id >= 100 {
+				scores[i] = float64(int(id)%3)*1000.25 + float64(int(id)%2)*0.125
+			}
+			texts[i] = names[i%len(names)]
+		}
+	}
+	return []ColumnData{{Nums: ids}, {Nums: scores, Nulls: nulls}, {Texts: texts, Nulls: nulls}}
+}
+
+func idRange(lo, hi int) []float64 {
+	out := make([]float64, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, float64(i))
+	}
+	return out
+}
+
+// checkAdoptedIndex compares an adopted index against a from-scratch build
+// over the same vector, value by value, including probes that must miss.
+func checkAdoptedIndex(t *testing.T, tb *Table, col string, ix *CodeIndex) {
+	t.Helper()
+	fresh := &CodeIndex{vec: tb.Vector(col)}
+	fresh.build()
+	vals, err := tb.DistinctValues(col, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals = append(vals, sqlir.NewNumber(-1e6), sqlir.NewNumber(0.5), sqlir.NewText("absent"), sqlir.Null())
+	for _, v := range vals {
+		got, want := ix.Postings(v), fresh.Postings(v)
+		if !slices.Equal(got, want) {
+			t.Fatalf("column %s value %s: adopted postings %v, fresh build %v", col, v, got, want)
+		}
+	}
+}
+
+// sharesPostings reports whether two posting lists share a backing array —
+// the proof that an index was extended from its base, not rebuilt.
+func sharesPostings(a, b []int32) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestCodeIndexAdoptionExtendsBase: after Append + Snapshot, every index the
+// previous epoch had built is extended with just the delta rows — dense ids
+// past both ends of the old range, new sparse values, new dictionary codes —
+// and answers exactly like a from-scratch build.
+func TestCodeIndexAdoptionExtendsBase(t *testing.T) {
+	db := adoptDB()
+	if _, err := db.Append("ev", adoptBatch(idRange(0, 100), []string{"a", "b", "c"})); err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"id", "score", "name"}
+	prev := db.Snapshot().Table("ev")
+	base := map[string]*CodeIndex{}
+	for _, col := range cols {
+		ix, err := prev.CodeIndex(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base[col] = ix
+	}
+	if base["id"].dense == nil || base["score"].num == nil {
+		t.Fatal("base layouts are not dense id / sparse score")
+	}
+
+	delta := append(idRange(100, 140), -3)
+	if _, err := db.Append("ev", adoptBatch(delta, []string{"c", "d", "e"})); err != nil {
+		t.Fatal(err)
+	}
+	cur := db.Snapshot().Table("ev")
+	for _, col := range cols {
+		ix, err := cur.CodeIndex(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAdoptedIndex(t, cur, col, ix)
+	}
+	id, _ := cur.CodeIndex("id")
+	if id.dense == nil || id.off != -3 {
+		t.Errorf("dense id index did not grow in place: dense=%v off=%d", id.dense != nil, id.off)
+	}
+	// Values with no delta rows keep the base's posting arrays.
+	score, _ := cur.CodeIndex("score")
+	name, _ := cur.CodeIndex("name")
+	for _, c := range []struct {
+		col       string
+		got, base []int32
+	}{
+		{"id", id.Num(5), base["id"].Num(5)},
+		{"score", score.Num(4001), base["score"].Num(4001)},
+		{"name", name.TextString("a"), base["name"].TextString("a")},
+	} {
+		if !sharesPostings(c.got, c.base) {
+			t.Errorf("column %s was rebuilt, not extended from the previous epoch", c.col)
+		}
+	}
+
+	// An id far past the density bound cannot extend the dense layout: the
+	// index is rebuilt, and still answers like a fresh build.
+	if _, err := db.Append("ev", adoptBatch([]float64{1e9}, []string{"a"})); err != nil {
+		t.Fatal(err)
+	}
+	far := db.Snapshot().Table("ev")
+	ix, err := far.CodeIndex("id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.dense != nil {
+		t.Error("sparse id range kept a dense layout")
+	}
+	checkAdoptedIndex(t, far, "id", ix)
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -100,9 +99,8 @@ func TestInsertAndRead(t *testing.T) {
 	if m.NumRows() != 1 {
 		t.Fatalf("rows = %d", m.NumRows())
 	}
-	row := m.Row(0)
-	if !row[1].Equal(text("Forrest Gump")) {
-		t.Errorf("row = %v", row)
+	if got := m.Vector("name").Value(0); !got.Equal(text("Forrest Gump")) {
+		t.Errorf("name = %v", got)
 	}
 }
 
@@ -143,7 +141,7 @@ func TestInsertCopiesRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals[1] = text("B")
-	if !m.Row(0)[1].Equal(text("A")) {
+	if !m.VectorAt(1).Value(0).Equal(text("A")) {
 		t.Error("Insert must copy the row")
 	}
 }
@@ -381,48 +379,48 @@ func TestIndexPostingLists(t *testing.T) {
 	tbl.MustInsert(num(3), text("a"))
 	tbl.MustInsert(num(4), sqlir.Null())
 
-	idx, err := tbl.Index("grp")
+	idx, err := tbl.CodeIndex("grp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx[text("a")]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := idx.Postings(text("a")); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("postings for a = %v", got)
 	}
-	if len(idx[text("b")]) != 1 {
-		t.Errorf("postings for b = %v", idx[text("b")])
+	if got := idx.Postings(text("b")); len(got) != 1 {
+		t.Errorf("postings for b = %v", got)
 	}
-	if _, ok := idx[sqlir.Null()]; ok {
-		t.Error("NULL must not be indexed")
+	if got := idx.Postings(sqlir.Null()); got != nil {
+		t.Errorf("NULL must not be indexed, got %v", got)
 	}
-	// The index is memoized: a second request returns the same map.
-	again, _ := tbl.Index("grp")
-	if reflect.ValueOf(idx).Pointer() != reflect.ValueOf(again).Pointer() {
-		t.Error("second Index call rebuilt the index instead of memoizing")
+	// The index is memoized: a second request returns the same index.
+	if again, _ := tbl.CodeIndex("grp"); again != idx {
+		t.Error("second CodeIndex call rebuilt the index instead of memoizing")
 	}
-	if _, err := tbl.Index("nope"); err == nil {
+	if _, err := tbl.CodeIndex("nope"); err == nil {
 		t.Error("unknown column should error")
 	}
 }
 
+// A built dense numeric index is rebuilt after an Insert outside its range.
 func TestIndexInvalidatedByInsert(t *testing.T) {
 	tbl := NewTable("t", "id",
 		Column{"id", sqlir.TypeNumber},
 		Column{"grp", sqlir.TypeText},
 	)
 	tbl.MustInsert(num(1), text("a"))
-	idx, err := tbl.Index("grp")
+	idx, err := tbl.CodeIndex("id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx[text("a")]) != 1 {
-		t.Fatalf("postings = %v", idx[text("a")])
+	if got := idx.Postings(num(1)); len(got) != 1 {
+		t.Fatalf("postings = %v", got)
 	}
 	tbl.MustInsert(num(2), text("a"))
-	idx, err = tbl.Index("grp")
+	idx, err = tbl.CodeIndex("id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx[text("a")]) != 2 {
-		t.Errorf("postings after insert = %v", idx[text("a")])
+	if got := idx.Postings(num(2)); len(got) != 1 || got[0] != 1 {
+		t.Errorf("postings after insert = %v", got)
 	}
 }
