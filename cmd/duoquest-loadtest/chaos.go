@@ -358,7 +358,7 @@ func chaosMixed(cfg config, g *loadgen.Generated, eng *service.Engine, inputs []
 // chaosCancelSweep registers databases of growing row counts and measures
 // cancel-to-return latency — how long after the deadline context fires a
 // request actually returns — from the service layer's own instrumentation,
-// the same quantiles /stats serves as cancel_to_return_ns.
+// the same quantiles /v1/stats serves as cancel_to_return_p50_ns/p99_ns.
 func chaosCancelSweep(cfg config, store *segment.Store, scales []int, eng *service.Engine, stdout, stderr io.Writer) error {
 	for _, rows := range scales {
 		spec, _ := loadgen.Preset("medium")

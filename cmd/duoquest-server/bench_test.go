@@ -1,11 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,24 +64,21 @@ func benchShopDB() *duoquest.Database {
 // caches serve three registries at once. MaxStates (not wall clock) bounds
 // each search, so answers are deterministic and comparable across engine
 // configurations.
-var benchRequests = []struct {
-	db   string
-	body string
-}{
-	{"movies", `{"nlq": "titles of movies before 1995", "literals": [1995],
-		"sketch": {"types": ["text"], "tuples": [["Forrest Gump"]]}}`},
-	{"movies", `{"nlq": "names of actors starring in movies after 2000", "literals": [2000],
-		"sketch": {"types": ["text"]}}`},
-	{"mas", `{"nlq": "List the names of organizations in continent Europe", "literals": ["Europe"],
-		"sketch": {"types": ["text"], "tuples": [["University of Oxford"]]}}`},
-	{"mas", `{"nlq": "List all publications in conference SIGMOD", "literals": ["SIGMOD"],
-		"sketch": {"types": ["text"], "tuples": [["Adaptive Query Processing 1"]]}}`},
-	{"mas", `{"nlq": "titles of publications by author Alice Johnson", "literals": ["Alice Johnson"],
-		"sketch": {"types": ["text"], "tuples": [["Adaptive Query Processing 1"]]}}`},
-	{"shop", `{"nlq": "names of customers with purchases before 2005", "literals": [2005],
-		"sketch": {"types": ["text"], "tuples": [["Customer 0008"]]}}`},
-	{"shop", `{"nlq": "names of customers in city Springfield", "literals": ["Springfield"],
-		"sketch": {"types": ["text"], "tuples": [["Customer 0006"]]}}`},
+var benchRequests = []string{
+	`{"db": "movies", "nlq": "titles of movies before 1995", "literals": [1995],
+		"sketch": {"types": ["text"], "tuples": [["Forrest Gump"]]}}`,
+	`{"db": "movies", "nlq": "names of actors starring in movies after 2000", "literals": [2000],
+		"sketch": {"types": ["text"]}}`,
+	`{"db": "mas", "nlq": "List the names of organizations in continent Europe", "literals": ["Europe"],
+		"sketch": {"types": ["text"], "tuples": [["University of Oxford"]]}}`,
+	`{"db": "mas", "nlq": "List all publications in conference SIGMOD", "literals": ["SIGMOD"],
+		"sketch": {"types": ["text"], "tuples": [["Adaptive Query Processing 1"]]}}`,
+	`{"db": "mas", "nlq": "titles of publications by author Alice Johnson", "literals": ["Alice Johnson"],
+		"sketch": {"types": ["text"], "tuples": [["Adaptive Query Processing 1"]]}}`,
+	`{"db": "shop", "nlq": "names of customers with purchases before 2005", "literals": [2005],
+		"sketch": {"types": ["text"], "tuples": [["Customer 0008"]]}}`,
+	`{"db": "shop", "nlq": "names of customers in city Springfield", "literals": ["Springfield"],
+		"sketch": {"types": ["text"], "tuples": [["Customer 0006"]]}}`,
 }
 
 // benchConcurrency is how many clients hammer the server per request kind.
@@ -112,9 +109,9 @@ func benchEngine(b *testing.B, perRequestCaches bool) *server {
 	return srv
 }
 
-// do issues one synthesize call and returns the ordered candidate SQL.
-func do(ts *httptest.Server, db, body string) ([]string, error) {
-	resp, err := http.Post(ts.URL+"/synthesize?db="+db, "application/json", bytes.NewReader([]byte(body)))
+// do issues one /v1/synthesize call and returns the ordered candidate SQL.
+func do(ts *httptest.Server, body string) ([]string, error) {
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +150,8 @@ func BenchmarkServerThroughput(b *testing.B) {
 	{
 		srv := benchEngine(b, true)
 		ts := httptest.NewServer(srv.handler())
-		for i, r := range benchRequests {
-			sqls, err := do(ts, r.db, r.body)
+		for i, body := range benchRequests {
+			sqls, err := do(ts, body)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -168,8 +165,8 @@ func BenchmarkServerThroughput(b *testing.B) {
 
 	check := func(b *testing.B, ts *httptest.Server) {
 		b.Helper()
-		for i, r := range benchRequests {
-			sqls, err := do(ts, r.db, r.body)
+		for i, body := range benchRequests {
+			sqls, err := do(ts, body)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -184,14 +181,14 @@ func BenchmarkServerThroughput(b *testing.B) {
 		var wg sync.WaitGroup
 		errs := make(chan error, benchConcurrency*len(benchRequests))
 		for c := 0; c < benchConcurrency; c++ {
-			for _, r := range benchRequests {
+			for _, body := range benchRequests {
 				wg.Add(1)
-				go func(db, body string) {
+				go func(body string) {
 					defer wg.Done()
-					if _, err := do(ts, db, body); err != nil {
+					if _, err := do(ts, body); err != nil {
 						errs <- err
 					}
-				}(r.db, r.body)
+				}(body)
 			}
 		}
 		wg.Wait()

@@ -14,35 +14,82 @@ import (
 	duoquest "github.com/duoquest/duoquest"
 )
 
-// ?deadline_ms= must be a positive integer; garbage is a client error, not a
-// silently ignored knob.
+// deadline_ms must be a non-negative integer; garbage is a client error, not
+// a silently ignored knob.
 func TestDeadlineParamValidation(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
-	for _, target := range []string{
-		"/synthesize?deadline_ms=abc",
-		"/synthesize?deadline_ms=-5",
-		"/synthesize?deadline_ms=0",
-		"/synthesize?deadline_ms=1.5",
+	for _, field := range []string{
+		`"deadline_ms": "abc"`,
+		`"deadline_ms": -5`,
+		`"deadline_ms": 1.5`,
 	} {
-		req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(masBody))
+		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masWith(field)))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", target, w.Code)
+			t.Errorf("%s: status = %d, want 400", field, w.Code)
 		}
 	}
 }
 
-// A request whose ?deadline_ms= expires mid-search gets 200 with the anytime
+// A deadline_ms past the Duration range saturates instead of wrapping, so it
+// falls to the -max-deadline clamp: the request answers exactly as one that
+// asked for no deadline, rather than being cut short by a wrapped value.
+func TestDeadlineOverflowSaturates(t *testing.T) {
+	cfg := boundedConfig()
+	cfg.MaxDeadline = 30 * time.Second
+	srv := testServer(t, cfg)
+	synth := func(field string) synthesizeResponse {
+		t.Helper()
+		w := doReq(t, srv, http.MethodPost, "/v1/synthesize", masWith(field), nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", field, w.Code, w.Body.String())
+		}
+		var resp synthesizeResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	want := synth(`"deadline_ms": 0`)
+	if len(want.Candidates) == 0 || want.Truncated {
+		t.Fatalf("reference run: %d candidates, truncated=%v", len(want.Candidates), want.Truncated)
+	}
+	// 18446744073710 ms is ~2^64 ns: multiplied out in int64 it wraps to
+	// ~0.45 ms. 9223372036855 ms wraps negative.
+	for _, field := range []string{`"deadline_ms": 18446744073710`, `"deadline_ms": 9223372036855`} {
+		got := synth(field)
+		if got.Truncated {
+			t.Errorf("%s: response truncated", field)
+		}
+		if len(got.Candidates) != len(want.Candidates) {
+			t.Fatalf("%s: %d candidates, want %d", field, len(got.Candidates), len(want.Candidates))
+		}
+		for i := range got.Candidates {
+			if got.Candidates[i].SQL != want.Candidates[i].SQL {
+				t.Errorf("%s: candidate %d = %s, want %s", field, i, got.Candidates[i].SQL, want.Candidates[i].SQL)
+			}
+		}
+	}
+}
+
+// openEndedConfig allows a long search with no candidate cap, so requests
+// against it run until their deadline, their client, or the budget stops
+// them.
+func openEndedConfig(budget time.Duration) duoquest.Config {
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = budget
+	cfg.MaxCandidates = 100000
+	return cfg
+}
+
+// A request whose deadline_ms expires mid-search gets 200 with the anytime
 // prefix and truncated set — not an error status.
 func TestDeadlineExpiryReturnsTruncated(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(10*time.Second),
-		duoquest.WithMaxCandidates(100000),
-	)
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
-	req := httptest.NewRequest(http.MethodPost, "/synthesize?deadline_ms=1", strings.NewReader(body))
+	srv := testServer(t, openEndedConfig(10*time.Second))
+	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}, "deadline_ms": 1}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -68,18 +115,16 @@ func TestDeadlineExpiryReturnsTruncated(t *testing.T) {
 // A shed request gets a structured 503: machine-readable JSON body plus a
 // Retry-After header for informed backoff.
 func TestOverloadedResponseShape(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(5*time.Second),
-		duoquest.WithMaxCandidates(100000),
-		duoquest.WithMaxInFlight(1),
-		duoquest.WithMaxQueue(1),
-	)
+	cfg := openEndedConfig(5 * time.Second)
+	cfg.MaxInFlight = 1
+	cfg.MaxQueue = 1
+	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	// Occupy the only in-flight slot with a streaming search, synchronized
 	// on its first emitted candidate.
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}, "stream": true}`
 	holder, cancelHolder := context.WithCancel(context.Background())
 	defer cancelHolder()
 	firstLine := make(chan struct{})
@@ -87,7 +132,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 	go func() {
 		defer close(holderDone)
 		req, _ := http.NewRequestWithContext(holder, http.MethodPost,
-			ts.URL+"/synthesize?stream=1", strings.NewReader(body))
+			ts.URL+"/v1/synthesize", strings.NewReader(body))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			close(firstLine)
@@ -115,7 +160,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 	go func() {
 		defer close(waiterDone)
 		req, _ := http.NewRequestWithContext(waiter, http.MethodPost,
-			ts.URL+"/synthesize", strings.NewReader(masBody))
+			ts.URL+"/v1/synthesize", strings.NewReader(masBody))
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
@@ -129,7 +174,7 @@ func TestOverloadedResponseShape(t *testing.T) {
 	}
 
 	// The third request must be shed immediately with the structured 503.
-	resp, err := http.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(masBody))
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(masBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,17 +211,14 @@ func TestOverloadedResponseShape(t *testing.T) {
 // A client that disconnects mid-stream stops the search promptly and is
 // accounted as an interruption, not a success.
 func TestStreamDisconnectRecordsInterruption(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(10*time.Second),
-		duoquest.WithMaxCandidates(100000),
-	)
+	srv := testServer(t, openEndedConfig(10*time.Second))
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}, "stream": true}`
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/synthesize?stream=1", strings.NewReader(body))
+		ts.URL+"/v1/synthesize", strings.NewReader(body))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		cancel()

@@ -6,26 +6,22 @@
 //
 //	duoquest-server -addr :8080 -db mas -max-inflight 8 -max-queue 64
 //
-// The versioned API takes one structured JSON body per request; every
-// synthesis runs against a pinned epoch snapshot of its database (epoch 0 =
-// latest), so concurrent ingest never tears a request's view:
+// The API is versioned under /v1 and takes one structured JSON body per
+// POST request; every synthesis runs against a pinned epoch snapshot of its
+// database (epoch 0 = latest), so concurrent ingest never tears a request's
+// view:
 //
 //	POST /v1/synthesize  {"db": "mas", "nlq": "...", "literals": ["Europe", 50],
 //	                      "sketch": {"types": ["text"], "tuples": [["Oxford"]],
 //	                                 "sorted": false, "limit": 0},
 //	                      "deadline_ms": 2000, "epoch": 0, "stream": false}
-//	                     stream: true switches to NDJSON progressive display:
-//	                     one candidate per line as found, then a "done" line.
+//	                     stream: true (or Accept: application/x-ndjson)
+//	                     switches to NDJSON progressive display: one
+//	                     candidate per line as found, then a "done" line.
 //	POST /v1/complete    {"db": "mas", "prefix": "SIG", "max": 10}
 //	GET  /v1/schema?db=mas
 //	GET  /v1/dbs
 //	GET  /v1/stats
-//
-// The original unversioned endpoints remain as thin adapters over the same
-// cores — query parameters (?db=, ?deadline_ms=, ?epoch=, ?stream=1,
-// ?q=&max=) instead of body fields, byte-identical responses:
-//
-//	POST /synthesize   GET /complete   GET /schema   GET /dbs   GET /stats
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // run to completion within -shutdown-timeout.
@@ -38,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -50,7 +47,7 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 )
 
-// maxCompleteResults bounds the ?max= parameter of /complete.
+// maxCompleteResults bounds the max field of /v1/complete.
 const maxCompleteResults = 100
 
 // previewRows caps rows attached to each candidate's preview.
@@ -61,12 +58,12 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		budget      = flag.Duration("budget", 5*time.Second, "per-request search budget")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline; expiry returns a truncated partial result (0 = none)")
-		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on ?deadline_ms= requests (0 = no clamp)")
+		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on request deadline_ms (0 = no clamp)")
 		topk        = flag.Int("k", 10, "max candidates per request")
 		workers     = flag.Int("workers", 0, "verification workers per request (0 = GOMAXPROCS, 1 = sequential)")
 		qworkers    = flag.Int("query-workers", 0, "intra-query morsel workers per scan (0 = follow -workers, 1 = single-threaded scans)")
 		morsel      = flag.Int("morsel-size", 0, "scan rows per morsel (0 = executor default 4096; rounded up to 64)")
-		defaultDB   = flag.String("db", "mas", "default database for requests without ?db=")
+		defaultDB   = flag.String("db", "mas", "default database for requests that name none")
 		dataDir     = flag.String("data-dir", "", "segment store directory; every persisted database in it is loaded and registered at startup")
 		maxInFlight = flag.Int("max-inflight", 8, "max concurrently running syntheses (0 = unbounded)")
 		maxQueue    = flag.Int("max-queue", 64, "max queued syntheses before 503 (0 = unbounded)")
@@ -77,17 +74,17 @@ func main() {
 	if *maxInFlight <= 0 && *maxQueue > 0 {
 		log.Printf("warning: -max-queue has no effect with unbounded -max-inflight")
 	}
-	eng := duoquest.NewEngine(
-		duoquest.WithBudget(*budget),
-		duoquest.WithDefaultDeadline(*deadline),
-		duoquest.WithMaxDeadline(*maxDeadline),
-		duoquest.WithMaxCandidates(*topk),
-		duoquest.WithWorkers(*workers),
-		duoquest.WithQueryParallelism(*qworkers),
-		duoquest.WithMorselSize(*morsel),
-		duoquest.WithMaxInFlight(*maxInFlight),
-		duoquest.WithMaxQueue(*maxQueue),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = *budget
+	cfg.DefaultDeadline = *deadline
+	cfg.MaxDeadline = *maxDeadline
+	cfg.MaxCandidates = *topk
+	cfg.Workers = *workers
+	cfg.QueryParallelism = *qworkers
+	cfg.MorselSize = *morsel
+	cfg.MaxInFlight = *maxInFlight
+	cfg.MaxQueue = *maxQueue
+	eng := duoquest.NewEngineFromConfig(cfg)
 	for _, db := range []*duoquest.Database{dataset.Movies(), dataset.MAS()} {
 		if err := eng.Register(db); err != nil {
 			log.Fatalf("register %s: %v", db.Name, err)
@@ -186,25 +183,17 @@ func newServer(eng *duoquest.Engine, defaultDB string) (*server, error) {
 
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	// Versioned API: structured JSON bodies for the POST surfaces.
 	mux.HandleFunc("/v1/synthesize", s.v1Synthesize)
 	mux.HandleFunc("/v1/complete", s.v1Complete)
 	mux.HandleFunc("/v1/schema", s.schema)
 	mux.HandleFunc("/v1/dbs", s.dbs)
 	mux.HandleFunc("/v1/stats", s.stats)
-	// Legacy adapters: query-parameter front doors onto the same cores.
-	mux.HandleFunc("/synthesize", s.legacySynthesize)
-	mux.HandleFunc("/complete", s.legacyComplete)
-	mux.HandleFunc("/schema", s.schema)
-	mux.HandleFunc("/dbs", s.dbs)
-	mux.HandleFunc("/stats", s.stats)
 	return mux
 }
 
-// session resolves ?db= (default -db) to a per-request engine session,
-// answering 404 for unknown databases.
-func (s *server) session(w http.ResponseWriter, r *http.Request) *duoquest.EngineSession {
-	name := r.URL.Query().Get("db")
+// session resolves a request's database name ("" = the -db default) to an
+// engine session, answering 404 for unknown databases.
+func (s *server) session(w http.ResponseWriter, name string) *duoquest.EngineSession {
 	if name == "" {
 		name = s.defaultDB
 	}
@@ -220,14 +209,11 @@ func (s *server) session(w http.ResponseWriter, r *http.Request) *duoquest.Engin
 // and schema reads all observe the same epoch (0 = latest). Unknown
 // databases answer 404; a retired or never-published epoch answers 410.
 func (s *server) snapshot(w http.ResponseWriter, name string, epoch int64) *duoquest.EngineSnapshot {
-	if name == "" {
-		name = s.defaultDB
-	}
-	if _, err := s.eng.Session(name); err != nil {
-		http.Error(w, fmt.Sprintf("unknown database %q", name), http.StatusNotFound)
+	ses := s.session(w, name)
+	if ses == nil {
 		return nil
 	}
-	sn, err := s.eng.SnapshotAt(name, epoch)
+	sn, err := s.eng.SnapshotAt(ses.Database().Name, epoch)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusGone)
 		return nil
@@ -244,9 +230,7 @@ type sketchJSON struct {
 	Limit  int             `json:"limit,omitempty"`
 }
 
-// synthesizeRequest is the structured /v1/synthesize body. The legacy
-// /synthesize adapter fills the non-specification fields (db, deadline_ms,
-// epoch, stream) from query parameters instead.
+// synthesizeRequest is the /v1/synthesize body.
 type synthesizeRequest struct {
 	// DB names the target database ("" = the server's -db default).
 	DB       string        `json:"db,omitempty"`
@@ -260,7 +244,8 @@ type synthesizeRequest struct {
 	// The whole request — synthesis and candidate previews — observes
 	// exactly that epoch's rows, regardless of concurrent ingest.
 	Epoch int64 `json:"epoch,omitempty"`
-	// Stream switches to NDJSON progressive display.
+	// Stream switches to NDJSON progressive display, as does an
+	// Accept: application/x-ndjson request header.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -283,7 +268,7 @@ type synthesizeResponse struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// streamLine is one NDJSON line of a streaming /synthesize response.
+// streamLine is one NDJSON line of a streaming /v1/synthesize response.
 type streamLine struct {
 	Type      string         `json:"type"` // "candidate", "done", or "error"
 	Candidate *candidateJSON `json:"candidate,omitempty"`
@@ -323,79 +308,27 @@ func (s *server) writeOverloaded(w http.ResponseWriter) {
 	})
 }
 
-// wantsStream reports whether the client asked for NDJSON progressive
-// results.
-func wantsStream(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-}
-
-// decodeSynthesize reads a synthesize body (shared by both API versions).
-func decodeSynthesize(w http.ResponseWriter, r *http.Request) (synthesizeRequest, bool) {
-	var req synthesizeRequest
+// v1Synthesize serves /v1/synthesize: it pins an epoch snapshot for the whole
+// request (candidate previews included), runs the search against it, and
+// renders the buffered or streaming response.
+func (s *server) v1Synthesize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return req, false
+		return
 	}
+	var req synthesizeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return req, false
-	}
-	return req, true
-}
-
-// legacySynthesize adapts the unversioned surface: routing fields come from
-// query parameters (?db=, ?deadline_ms=, ?epoch=, ?stream=1 or the NDJSON
-// Accept header) while the specification stays in the JSON body.
-func (s *server) legacySynthesize(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeSynthesize(w, r)
-	if !ok {
 		return
 	}
-	if db := r.URL.Query().Get("db"); db != "" {
-		req.DB = db
-	}
-	if ms := r.URL.Query().Get("deadline_ms"); ms != "" {
-		n, err := strconv.Atoi(ms)
-		if err != nil || n <= 0 {
-			http.Error(w, fmt.Sprintf("deadline_ms must be a positive integer, got %q", ms), http.StatusBadRequest)
-			return
-		}
-		req.DeadlineMS = int64(n)
-	}
-	if ep := r.URL.Query().Get("epoch"); ep != "" {
-		n, err := strconv.ParseInt(ep, 10, 64)
-		if err != nil || n < 0 {
-			http.Error(w, fmt.Sprintf("epoch must be a non-negative integer, got %q", ep), http.StatusBadRequest)
-			return
-		}
-		req.Epoch = n
-	}
-	if wantsStream(r) {
-		req.Stream = true
-	}
-	s.runSynthesize(w, r, req)
-}
-
-// v1Synthesize is the versioned surface: one structured JSON body.
-func (s *server) v1Synthesize(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeSynthesize(w, r)
-	if !ok {
+	if req.DeadlineMS < 0 {
+		http.Error(w, fmt.Sprintf("deadline_ms must be non-negative, got %d", req.DeadlineMS), http.StatusBadRequest)
 		return
 	}
-	if wantsStream(r) {
-		req.Stream = true
+	if req.Epoch < 0 {
+		http.Error(w, fmt.Sprintf("epoch must be non-negative, got %d", req.Epoch), http.StatusBadRequest)
+		return
 	}
-	s.runSynthesize(w, r, req)
-}
-
-// runSynthesize is the shared synthesis core: it pins an epoch snapshot for
-// the whole request (candidate previews included), runs the search against
-// it, and renders the buffered or streaming response. Legacy and v1
-// responses are identical by construction.
-func (s *server) runSynthesize(w http.ResponseWriter, r *http.Request, req synthesizeRequest) {
 	sn := s.snapshot(w, req.DB, req.Epoch)
 	if sn == nil {
 		return
@@ -404,7 +337,7 @@ func (s *server) runSynthesize(w http.ResponseWriter, r *http.Request, req synth
 		http.Error(w, "nlq is required", http.StatusBadRequest)
 		return
 	}
-	input := duoquest.Input{NLQ: req.NLQ}
+	input := duoquest.Input{NLQ: req.NLQ, Deadline: deadline(req.DeadlineMS)}
 	for _, l := range req.Literals {
 		v, err := jsonValue(l)
 		if err != nil {
@@ -421,14 +354,8 @@ func (s *server) runSynthesize(w http.ResponseWriter, r *http.Request, req synth
 		}
 		input.Sketch = sk
 	}
-	if req.DeadlineMS < 0 {
-		http.Error(w, fmt.Sprintf("deadline_ms must be non-negative, got %d", req.DeadlineMS), http.StatusBadRequest)
-		return
-	}
-	// The engine clamps this to its -max-deadline.
-	input.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 
-	if req.Stream {
+	if req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
 		s.synthesizeStream(w, r, sn, input)
 		return
 	}
@@ -442,15 +369,26 @@ func (s *server) runSynthesize(w http.ResponseWriter, r *http.Request, req synth
 		return
 	}
 	resp := synthesizeResponse{
-		States:    res.States,
-		ElapsedMS: res.Elapsed.Milliseconds(),
-		Epoch:     sn.Epoch(),
-		Truncated: res.Truncated,
+		Candidates: []candidateJSON{},
+		States:     res.States,
+		ElapsedMS:  res.Elapsed.Milliseconds(),
+		Epoch:      sn.Epoch(),
+		Truncated:  res.Truncated,
 	}
 	for _, c := range res.Candidates {
 		resp.Candidates = append(resp.Candidates, s.candidateJSON(sn.Session, c))
 	}
 	writeJSON(w, resp)
+}
+
+// deadline converts a request's deadline_ms to a duration, saturating
+// instead of wrapping for values past the Duration range so they fall to
+// the engine's MaxDeadline clamp.
+func deadline(ms int64) time.Duration {
+	if ms > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // synthesizeStream writes one NDJSON line per candidate, flushed as found
@@ -535,25 +473,8 @@ func (s *server) candidateJSON(ses *duoquest.EngineSession, c duoquest.Candidate
 	return cj
 }
 
-// legacyComplete adapts the unversioned GET surface (?q=&max=).
-func (s *server) legacyComplete(w http.ResponseWriter, r *http.Request) {
-	ses := s.session(w, r)
-	if ses == nil {
-		return
-	}
-	max := 10
-	if m := r.URL.Query().Get("max"); m != "" {
-		n, err := strconv.Atoi(m)
-		if err != nil || n <= 0 {
-			http.Error(w, fmt.Sprintf("max must be a positive integer, got %q", m), http.StatusBadRequest)
-			return
-		}
-		max = n
-	}
-	s.runComplete(w, ses, r.URL.Query().Get("q"), max)
-}
-
-// v1Complete takes a structured JSON body: {"db": ..., "prefix": ..., "max": ...}.
+// v1Complete serves /v1/complete: {"db": ..., "prefix": ..., "max": ...}. An
+// oversized max is clamped to maxCompleteResults, not rejected.
 func (s *server) v1Complete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -568,13 +489,8 @@ func (s *server) v1Complete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	name := req.DB
-	if name == "" {
-		name = s.defaultDB
-	}
-	ses, err := s.eng.Session(name)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("unknown database %q", name), http.StatusNotFound)
+	ses := s.session(w, req.DB)
+	if ses == nil {
 		return
 	}
 	if req.Max < 0 {
@@ -585,11 +501,6 @@ func (s *server) v1Complete(w http.ResponseWriter, r *http.Request) {
 	if max == 0 {
 		max = 10
 	}
-	s.runComplete(w, ses, req.Prefix, max)
-}
-
-// runComplete is the shared autocomplete core.
-func (s *server) runComplete(w http.ResponseWriter, ses *duoquest.EngineSession, prefix string, max int) {
 	if max > maxCompleteResults {
 		max = maxCompleteResults
 	}
@@ -599,7 +510,7 @@ func (s *server) runComplete(w http.ResponseWriter, ses *duoquest.EngineSession,
 		Column string `json:"column"`
 	}
 	hits := []hitJSON{}
-	for _, h := range ses.Autocomplete(prefix, max) {
+	for _, h := range ses.Autocomplete(req.Prefix, max) {
 		hits = append(hits, hitJSON{Value: h.Value, Table: h.Table, Column: h.Column})
 	}
 	writeJSON(w, hits)

@@ -15,15 +15,28 @@ import (
 	"github.com/duoquest/duoquest/internal/dataset"
 )
 
-func testServer(t *testing.T, opts ...duoquest.Option) *server {
+// testConfig is the server tests' engine configuration: the library
+// defaults with a 2s search budget and three candidates per request.
+func testConfig() duoquest.Config {
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = 2 * time.Second
+	cfg.MaxCandidates = 3
+	return cfg
+}
+
+// boundedConfig bounds every search by explored states instead of wall
+// clock, so two runs of one request answer identically.
+func boundedConfig() duoquest.Config {
+	cfg := duoquest.DefaultConfig()
+	cfg.MaxStates = 3000
+	cfg.MaxCandidates = 3
+	cfg.Budget = 30 * time.Second
+	return cfg
+}
+
+func testServer(t *testing.T, cfg duoquest.Config) *server {
 	t.Helper()
-	if opts == nil {
-		opts = []duoquest.Option{
-			duoquest.WithBudget(2 * time.Second),
-			duoquest.WithMaxCandidates(3),
-		}
-	}
-	eng := duoquest.NewEngine(opts...)
+	eng := duoquest.NewEngineFromConfig(cfg)
 	for _, db := range []*duoquest.Database{dataset.Movies(), dataset.MAS()} {
 		if err := eng.Register(db); err != nil {
 			t.Fatal(err)
@@ -42,9 +55,14 @@ const masBody = `{
 	"sketch": {"types": ["text"], "tuples": [["University of Oxford"]]}
 }`
 
+// masWith is masBody with extra top-level fields, e.g. `"stream": true`.
+func masWith(fields string) string {
+	return "{" + fields + ", " + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
+}
+
 func TestSynthesizeEndpoint(t *testing.T) {
-	srv := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody))
+	srv := testServer(t, testConfig())
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody))
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -53,6 +71,9 @@ func TestSynthesizeEndpoint(t *testing.T) {
 	var resp synthesizeResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
+	}
+	if resp.Epoch <= 0 {
+		t.Errorf("epoch = %d, want the published epoch the request observed", resp.Epoch)
 	}
 	if len(resp.Candidates) == 0 {
 		t.Fatal("no candidates")
@@ -66,7 +87,7 @@ func TestSynthesizeEndpoint(t *testing.T) {
 }
 
 func TestSynthesizeEndpointErrors(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 	cases := []struct {
 		method string
@@ -74,15 +95,22 @@ func TestSynthesizeEndpointErrors(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{http.MethodGet, "/synthesize", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/synthesize", "not json", http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "literals": [true]}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "sketch": {"types": ["blob"]}}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "sketch": {"tuples": [[["a", "b"]]]}}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize", `{"nlq": "x", "sketch": {"limit": -3}}`, http.StatusBadRequest},
-		{http.MethodPost, "/synthesize?db=nope", `{"nlq": "x"}`, http.StatusNotFound},
-		{http.MethodPost, "/synthesize?db=nope&stream=1", `{"nlq": "x"}`, http.StatusNotFound},
+		{http.MethodGet, "/v1/synthesize", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/synthesize", "not json", http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "literals": [true]}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "sketch": {"types": ["blob"]}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "sketch": {"tuples": [[["a", "b"]]]}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "sketch": {"limit": -3}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/synthesize", `{"db": "nope", "nlq": "x"}`, http.StatusNotFound},
+		{http.MethodPost, "/v1/synthesize", `{"db": "nope", "nlq": "x", "stream": true}`, http.StatusNotFound},
+		{http.MethodPost, "/v1/synthesize", `{"nlq": "x", "epoch": 99}`, http.StatusGone},
+		// Only /v1 is routed.
+		{http.MethodPost, "/synthesize", masBody, http.StatusNotFound},
+		{http.MethodGet, "/stats", "", http.StatusNotFound},
+		{http.MethodGet, "/complete?q=SIG", "", http.StatusNotFound},
+		{http.MethodGet, "/schema", "", http.StatusNotFound},
+		{http.MethodGet, "/dbs", "", http.StatusNotFound},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest(c.method, c.target, strings.NewReader(c.body))
@@ -97,11 +125,11 @@ func TestSynthesizeEndpointErrors(t *testing.T) {
 // Streaming mode must emit exactly the non-streaming candidates, in the
 // same order, then one done line carrying the summary.
 func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 
 	plain := httptest.NewRecorder()
-	h.ServeHTTP(plain, httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody)))
+	h.ServeHTTP(plain, httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody)))
 	if plain.Code != http.StatusOK {
 		t.Fatalf("plain status = %d: %s", plain.Code, plain.Body.String())
 	}
@@ -111,7 +139,7 @@ func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
 	}
 
 	stream := httptest.NewRecorder()
-	h.ServeHTTP(stream, httptest.NewRequest(http.MethodPost, "/synthesize?stream=1", strings.NewReader(masBody)))
+	h.ServeHTTP(stream, httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masWith(`"stream": true`))))
 	if stream.Code != http.StatusOK {
 		t.Fatalf("stream status = %d: %s", stream.Code, stream.Body.String())
 	}
@@ -146,6 +174,9 @@ func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
 	if done.States == 0 {
 		t.Error("done line missing states")
 	}
+	if done.Epoch != want.Epoch {
+		t.Errorf("done line epoch = %d, want %d", done.Epoch, want.Epoch)
+	}
 	if len(got) != len(want.Candidates) {
 		t.Fatalf("stream emitted %d candidates, non-streaming %d", len(got), len(want.Candidates))
 	}
@@ -158,8 +189,8 @@ func TestSynthesizeStreamingMatchesNonStreaming(t *testing.T) {
 
 // The Accept header is an alternative opt-in to streaming.
 func TestSynthesizeStreamingViaAccept(t *testing.T) {
-	srv := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody))
+	srv := testServer(t, testConfig())
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody))
 	req.Header.Set("Accept", "application/x-ndjson")
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
@@ -169,15 +200,18 @@ func TestSynthesizeStreamingViaAccept(t *testing.T) {
 	if ct := w.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type = %q", ct)
 	}
+	if !strings.Contains(w.Body.String(), `"type":"done"`) {
+		t.Errorf("no done line in %q", w.Body.String())
+	}
 }
 
 // Per-database routing: the same NLQ resolves against the database named in
-// ?db=.
+// the body's db field.
 func TestSynthesizeDatabaseRouting(t *testing.T) {
-	srv := testServer(t)
-	body := `{"nlq": "titles of movies before 1995", "literals": [1995],
+	srv := testServer(t, testConfig())
+	body := `{"db": "movies", "nlq": "titles of movies before 1995", "literals": [1995],
 		"sketch": {"types": ["text"], "tuples": [["Forrest Gump"]]}}`
-	req := httptest.NewRequest(http.MethodPost, "/synthesize?db=movies", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	srv.handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -193,9 +227,9 @@ func TestSynthesizeDatabaseRouting(t *testing.T) {
 }
 
 func TestCompleteEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
-	req := httptest.NewRequest(http.MethodGet, "/complete?q=SIG&max=3", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"prefix": "SIG", "max": 3}`))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -211,7 +245,7 @@ func TestCompleteEndpoint(t *testing.T) {
 
 	// Routing: the movies database has its own index.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=Forrest&db=movies", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"db": "movies", "prefix": "Forrest"}`)))
 	hits = nil
 	if err := json.Unmarshal(w.Body.Bytes(), &hits); err != nil {
 		t.Fatal(err)
@@ -219,26 +253,33 @@ func TestCompleteEndpoint(t *testing.T) {
 	if len(hits) == 0 || hits[0]["value"] != "Forrest Gump" {
 		t.Errorf("movies hits = %v", hits)
 	}
+
+	// The body carries the request, so GET is refused.
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/complete?q=SIG", nil))
+	if w.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/complete: status = %d, want 405", w.Code)
+	}
 }
 
 func TestCompleteEndpointParamValidation(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
-	for _, target := range []string{
-		"/complete?q=SIG&max=abc",
-		"/complete?q=SIG&max=0",
-		"/complete?q=SIG&max=-2",
-		"/complete?q=SIG&max=3.5",
+	for _, body := range []string{
+		`not json`,
+		`{"prefix": "SIG", "max": "abc"}`,
+		`{"prefix": "SIG", "max": -1}`,
+		`{"prefix": "SIG", "max": 3.5}`,
 	} {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(body)))
 		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", target, w.Code)
+			t.Errorf("%s: status = %d, want 400", body, w.Code)
 		}
 	}
 	// Oversized max is clamped, not rejected.
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=a&max=100000", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"prefix": "a", "max": 100000}`)))
 	if w.Code != http.StatusOK {
 		t.Fatalf("clamped max: status = %d", w.Code)
 	}
@@ -251,17 +292,17 @@ func TestCompleteEndpointParamValidation(t *testing.T) {
 	}
 	// Unknown database.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/complete?q=SIG&db=nope", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/complete", strings.NewReader(`{"db": "nope", "prefix": "SIG"}`)))
 	if w.Code != http.StatusNotFound {
 		t.Errorf("unknown db: status = %d", w.Code)
 	}
 }
 
 func TestSchemaEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/schema", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/schema", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
@@ -278,7 +319,7 @@ func TestSchemaEndpoint(t *testing.T) {
 	}
 	// Routed to movies.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/schema?db=movies", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/schema?db=movies", nil))
 	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +328,16 @@ func TestSchemaEndpoint(t *testing.T) {
 	}
 	// Unknown database.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/schema?db=nope", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/schema?db=nope", nil))
 	if w.Code != http.StatusNotFound {
 		t.Errorf("unknown db: status = %d", w.Code)
 	}
 }
 
 func TestDBsEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	w := httptest.NewRecorder()
-	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/dbs", nil))
+	srv.handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/dbs", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
@@ -321,17 +362,17 @@ func TestDBsEndpoint(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	srv := testServer(t)
+	srv := testServer(t, testConfig())
 	h := srv.handler()
 	// Serve one synthesis so the counters move.
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(masBody)))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader(masBody)))
 	if w.Code != http.StatusOK {
 		t.Fatalf("synthesize status = %d", w.Code)
 	}
 
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("stats status = %d", w.Code)
 	}
@@ -401,10 +442,10 @@ func TestStatsEndpoint(t *testing.T) {
 // budget: the test synchronizes on the first streamed candidate before
 // shutting down, guaranteeing the overlap rather than racing a sleep.
 func TestGracefulShutdownMidRequest(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithBudget(time.Second),
-		duoquest.WithMaxCandidates(100000),
-	)
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = time.Second
+	cfg.MaxCandidates = 100000
+	srv := testServer(t, cfg)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -412,11 +453,11 @@ func TestGracefulShutdownMidRequest(t *testing.T) {
 		body string
 		err  error
 	}
-	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}}`
+	body := `{"nlq": "names of authors", "sketch": {"types": ["text"]}, "stream": true}`
 	firstLine := make(chan struct{})
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/synthesize?stream=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(body))
 		if err != nil {
 			close(firstLine)
 			resc <- result{err: err}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	duoquest "github.com/duoquest/duoquest"
 )
@@ -41,106 +39,34 @@ func doReq(t *testing.T, srv *server, method, target, body string, hdr map[strin
 	return w
 }
 
-// TestV1SynthesizeEquivalence: the legacy query-parameter route and the
-// versioned structured-body route produce byte-identical responses (modulo
-// elapsed_ms) for the same request. MaxStates bounds the search so both
-// runs explore the same deterministic prefix.
-func TestV1SynthesizeEquivalence(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithMaxStates(3000),
-		duoquest.WithMaxCandidates(3),
-		duoquest.WithBudget(30*time.Second),
-	)
-
-	legacy := doReq(t, srv, http.MethodPost, "/synthesize?db=mas", masBody, nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy status = %d: %s", legacy.Code, legacy.Body.String())
+// TestV1SynthesizeRequestEdges: a negative epoch is a client error like a
+// negative deadline_ms (not a 410 for an epoch that could never exist), and
+// a search that finds nothing renders an empty candidates array, not null.
+func TestV1SynthesizeRequestEdges(t *testing.T) {
+	cfg := boundedConfig()
+	cfg.MaxStates = 200
+	srv := testServer(t, cfg)
+	cases := []struct {
+		name string
+		body string
+		want int
+		// wantBody, when set, must appear in the response.
+		wantBody string
+	}{
+		{"negative epoch", masWith(`"epoch": -1`), http.StatusBadRequest, "epoch must be non-negative"},
+		{"negative epoch streaming", masWith(`"epoch": -1, "stream": true`), http.StatusBadRequest, "epoch must be non-negative"},
+		{"no candidates", `{"nlq": "names of organizations",
+			"sketch": {"types": ["text"], "tuples": [["No Such Organization Anywhere"]]}}`,
+			http.StatusOK, `"candidates": []`},
 	}
-	v1Body := `{"db": "mas", ` + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
-	v1 := doReq(t, srv, http.MethodPost, "/v1/synthesize", v1Body, nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", v1.Code, v1.Body.String())
-	}
-	if got, want := normalizeTiming(v1.Body.String()), normalizeTiming(legacy.Body.String()); got != want {
-		t.Errorf("v1 response differs from legacy:\n v1: %s\nlegacy: %s", got, want)
-	}
-
-	// Both carry the epoch the request observed.
-	var resp synthesizeResponse
-	if err := json.Unmarshal(v1.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Epoch <= 0 {
-		t.Errorf("v1 epoch = %d, want a published epoch", resp.Epoch)
-	}
-}
-
-// TestV1SynthesizeStreamEquivalence: the body's stream flag and the legacy
-// ?stream=1 produce the same NDJSON lines (modulo elapsed_ms).
-func TestV1SynthesizeStreamEquivalence(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithMaxStates(3000),
-		duoquest.WithMaxCandidates(3),
-		duoquest.WithBudget(30*time.Second),
-	)
-	legacy := doReq(t, srv, http.MethodPost, "/synthesize?db=mas&stream=1", masBody, nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy status = %d: %s", legacy.Code, legacy.Body.String())
-	}
-	v1Body := `{"db": "mas", "stream": true, ` + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
-	v1 := doReq(t, srv, http.MethodPost, "/v1/synthesize", v1Body, nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", v1.Code, v1.Body.String())
-	}
-	if got, want := normalizeTiming(v1.Body.String()), normalizeTiming(legacy.Body.String()); got != want {
-		t.Errorf("v1 stream differs from legacy:\n v1: %s\nlegacy: %s", got, want)
-	}
-	// The final line is a done summary carrying the epoch.
-	var done streamLine
-	sc := bufio.NewScanner(strings.NewReader(v1.Body.String()))
-	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &done); err != nil {
-			t.Fatal(err)
+	for _, c := range cases {
+		w := doReq(t, srv, http.MethodPost, "/v1/synthesize", c.body, nil)
+		if w.Code != c.want {
+			t.Errorf("%s: status = %d, want %d: %s", c.name, w.Code, c.want, w.Body.String())
+			continue
 		}
-	}
-	if done.Type != "done" || done.Epoch <= 0 {
-		t.Errorf("final stream line = %+v, want done with a published epoch", done)
-	}
-}
-
-// TestV1CompleteEquivalence: GET /complete and POST /v1/complete answer
-// identically.
-func TestV1CompleteEquivalence(t *testing.T) {
-	srv := testServer(t)
-	legacy := doReq(t, srv, http.MethodGet, "/complete?db=mas&q=Uni&max=5", "", nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("legacy status = %d: %s", legacy.Code, legacy.Body.String())
-	}
-	v1 := doReq(t, srv, http.MethodPost, "/v1/complete", `{"db": "mas", "prefix": "Uni", "max": 5}`, nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("v1 status = %d: %s", v1.Code, v1.Body.String())
-	}
-	if v1.Body.String() != legacy.Body.String() {
-		t.Errorf("v1 complete differs:\n v1: %s\nlegacy: %s", v1.Body.String(), legacy.Body.String())
-	}
-	if doReq(t, srv, http.MethodGet, "/v1/complete?q=Uni", "", nil).Code != http.StatusMethodNotAllowed {
-		t.Error("v1 complete should reject GET")
-	}
-}
-
-// TestV1ReadRoutesEquivalence: the GET surfaces are shared cores, so the
-// versioned and legacy paths answer byte-identically.
-func TestV1ReadRoutesEquivalence(t *testing.T) {
-	srv := testServer(t)
-	for _, route := range []string{"/schema?db=movies", "/dbs", "/stats"} {
-		legacy := doReq(t, srv, http.MethodGet, route, "", nil)
-		v1 := doReq(t, srv, http.MethodGet, "/v1"+route, "", nil)
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%s status legacy=%d v1=%d", route, legacy.Code, v1.Code)
-		}
-		if v1.Body.String() != legacy.Body.String() {
-			t.Errorf("%s differs between v1 and legacy:\n v1: %s\nlegacy: %s",
-				route, v1.Body.String(), legacy.Body.String())
+		if !strings.Contains(w.Body.String(), c.wantBody) {
+			t.Errorf("%s: body %q lacks %q", c.name, w.Body.String(), c.wantBody)
 		}
 	}
 }
@@ -149,13 +75,9 @@ func TestV1ReadRoutesEquivalence(t *testing.T) {
 // a request pinned to a pre-ingest epoch keeps its answers after an append,
 // an unpinned request observes the new head, and a retired epoch is 410.
 func TestSynthesizeEpochPinning(t *testing.T) {
-	srv := testServer(t,
-		duoquest.WithMaxStates(3000),
-		duoquest.WithMaxCandidates(3),
-		duoquest.WithBudget(30*time.Second),
-	)
+	srv := testServer(t, boundedConfig())
 
-	before := doReq(t, srv, http.MethodPost, "/v1/synthesize", `{"db": "mas", `+strings.TrimPrefix(strings.TrimSpace(masBody), "{"), nil)
+	before := doReq(t, srv, http.MethodPost, "/v1/synthesize", masWith(`"db": "mas"`), nil)
 	if before.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", before.Code, before.Body.String())
 	}
@@ -175,7 +97,7 @@ func TestSynthesizeEpochPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pinnedBody := fmt.Sprintf(`{"db": "mas", "epoch": %d, `, pinned) + strings.TrimPrefix(strings.TrimSpace(masBody), "{")
+	pinnedBody := masWith(fmt.Sprintf(`"db": "mas", "epoch": %d`, pinned))
 	after := doReq(t, srv, http.MethodPost, "/v1/synthesize", pinnedBody, nil)
 	if after.Code != http.StatusOK {
 		t.Fatalf("pinned status = %d: %s", after.Code, after.Body.String())
@@ -184,7 +106,7 @@ func TestSynthesizeEpochPinning(t *testing.T) {
 		t.Errorf("pinned re-run differs from pre-ingest run:\n got %s\nwant %s", got, want)
 	}
 
-	head := doReq(t, srv, http.MethodPost, "/v1/synthesize", `{"db": "mas", `+strings.TrimPrefix(strings.TrimSpace(masBody), "{"), nil)
+	head := doReq(t, srv, http.MethodPost, "/v1/synthesize", masWith(`"db": "mas"`), nil)
 	if head.Code != http.StatusOK {
 		t.Fatalf("head status = %d: %s", head.Code, head.Body.String())
 	}

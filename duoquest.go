@@ -14,7 +14,7 @@
 // Quick start:
 //
 //	db := duoquest.NewDatabase("movies", schema)
-//	syn := duoquest.New(db)
+//	syn := duoquest.NewWithConfig(db, duoquest.DefaultConfig())
 //	res, _ := syn.Synthesize(ctx, duoquest.Input{
 //	    NLQ:      "movies before 1995",
 //	    Literals: []duoquest.Value{duoquest.Number(1995)},
@@ -81,7 +81,7 @@ type (
 	// Engine is the process-wide multi-database synthesis service: a
 	// registry of databases with shared cross-request caches, bounded
 	// admission control, and aggregated serving statistics. Build one
-	// with NewEngine, Register databases, and open per-request
+	// with NewEngineFromConfig, Register databases, and open per-request
 	// EngineSessions against it.
 	Engine = service.Engine
 	// EngineSession is a per-request handle on one of an Engine's
@@ -203,16 +203,16 @@ func DefaultRules() *RuleSet { return semrules.Default() }
 type Input = service.Input
 
 // ErrOverloaded reports that the engine's synthesis wait queue is full (see
-// WithMaxInFlight/WithMaxQueue); callers should shed the request.
+// Config.MaxInFlight and Config.MaxQueue); callers should shed the request.
 var ErrOverloaded = service.ErrOverloaded
 
 // Config is the engine's whole configuration surface — guidance model,
 // pruning rules, enumeration mode, search bounds, deadlines, parallelism,
-// admission control, and epoch-cache retention — documented field by field
-// on service.Config. The zero value is usable; DefaultConfig returns the
-// library defaults (lexical guidance, Table 4 rules, 2s budget, 50
-// candidates). The WithX Option helpers below are thin deprecated wrappers
-// over this struct.
+// admission control, and the per-request cache baseline — documented field
+// by field on service.Config. The zero value is usable; DefaultConfig
+// returns the library defaults (lexical guidance, Table 4 rules, 2s budget,
+// 50 candidates). Populate one and pass it to NewEngineFromConfig or
+// NewWithConfig, the only two constructors.
 type Config = service.Config
 
 // DefaultConfig returns the documented library defaults: the lexical
@@ -228,125 +228,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Option configures a Synthesizer or Engine built through the variadic
-// constructors.
-//
-// Deprecated: populate a Config and use NewEngineFromConfig (or NewWithConfig
-// for a single-database Synthesizer) instead.
-type Option func(*Config)
-
-// WithModel replaces the guidance model (default: the lexical model).
-//
-// Deprecated: set Config.Model.
-func WithModel(m GuidanceModel) Option { return func(c *Config) { c.Model = m } }
-
-// WithRules replaces the semantic rule set; nil disables semantic pruning.
-//
-// Deprecated: set Config.Rules (and Config.NoRules to disable pruning).
-func WithRules(r *RuleSet) Option {
-	return func(c *Config) { c.Rules = r; c.NoRules = r == nil }
-}
-
-// WithMode selects the enumeration variant (default ModeGPQE).
-//
-// Deprecated: set Config.Mode.
-func WithMode(m Mode) Option { return func(c *Config) { c.Mode = m } }
-
-// WithBudget bounds the wall-clock search time per request (default 2s) —
-// the front-end's pre-specified timeout (§4).
-//
-// Deprecated: set Config.Budget.
-func WithBudget(d time.Duration) Option { return func(c *Config) { c.Budget = d } }
-
-// WithDefaultDeadline sets the per-request wall-clock deadline applied when
-// a request carries none (0, the default, applies no deadline). Unlike
-// WithBudget — which the enumerator only checks between search states — the
-// deadline rides the request context through the executor's cancellation
-// checkpoints, so expiry unwinds verification mid-scan and the request
-// returns the candidates found so far with Result.Truncated set, not an
-// error.
-//
-// Deprecated: set Config.DefaultDeadline.
-func WithDefaultDeadline(d time.Duration) Option {
-	return func(c *Config) { c.DefaultDeadline = d }
-}
-
-// WithMaxDeadline clamps every request's deadline, including requests that
-// asked for none (0, the default, applies no clamp). The HTTP server's
-// deadline_ms parameter is bounded by this.
-//
-// Deprecated: set Config.MaxDeadline.
-func WithMaxDeadline(d time.Duration) Option {
-	return func(c *Config) { c.MaxDeadline = d }
-}
-
-// WithMaxCandidates stops after emitting n candidates (default 50).
-//
-// Deprecated: set Config.MaxCandidates.
-func WithMaxCandidates(n int) Option { return func(c *Config) { c.MaxCandidates = n } }
-
-// WithMaxStates caps the number of explored search states.
-//
-// Deprecated: set Config.MaxStates.
-func WithMaxStates(n int) Option { return func(c *Config) { c.MaxStates = n } }
-
-// WithWorkers bounds the verification worker pool: dequeued search states
-// fan out to n workers for TSQ verification while enumeration order stays
-// single-threaded and deterministic, so results are identical to the
-// sequential engine's. 0 (the default) uses runtime.GOMAXPROCS(0); 1
-// verifies inline on the search goroutine.
-//
-// Deprecated: set Config.Workers.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithQueryParallelism bounds intra-query morsel parallelism: the workers
-// (caller included) a single scan, join probe, or grouped aggregation may
-// recruit from the engine's shared token pool. 0 (the default) follows
-// WithWorkers; 1 disables morsel parallelism and runs every query on the
-// single-threaded columnar path. Morsel fan-out and verification workers
-// share one token budget, so total parallelism stays capped at
-// max(workers, query parallelism); parallel results are bit-identical to
-// the single-threaded path (deterministic morsel-order merges).
-//
-// Deprecated: set Config.QueryParallelism.
-func WithQueryParallelism(n int) Option { return func(c *Config) { c.QueryParallelism = n } }
-
-// WithMorselSize sets the scan rows per morsel for intra-query parallelism
-// (0, the default, uses the executor's 4096). Values are normalized up to
-// the storage engine's 64-row null-bitmap word alignment.
-//
-// Deprecated: set Config.MorselSize.
-func WithMorselSize(n int) Option { return func(c *Config) { c.MorselSize = n } }
-
-// WithMaxInFlight bounds concurrently running syntheses (0, the default,
-// is unbounded). Excess requests wait in an admission queue.
-//
-// Deprecated: set Config.MaxInFlight.
-func WithMaxInFlight(n int) Option { return func(c *Config) { c.MaxInFlight = n } }
-
-// WithMaxQueue bounds the admission queue beyond WithMaxInFlight (0 =
-// unbounded); when full, Synthesize fails fast with ErrOverloaded.
-//
-// Deprecated: set Config.MaxQueue.
-func WithMaxQueue(n int) Option { return func(c *Config) { c.MaxQueue = n } }
-
 // NewEngineFromConfig builds a standalone multi-database Engine from an
-// explicit Config — the primary constructor. Register databases on it and
-// open per-request sessions with Engine.Session (or pinned read handles
-// with Engine.Snapshot); cmd/duoquest-server is built on this entry point.
+// explicit Config. Register databases on it and open per-request sessions
+// with Engine.Session (or pinned read handles with Engine.Snapshot);
+// cmd/duoquest-server is built on this entry point.
 func NewEngineFromConfig(cfg Config) *Engine {
 	return service.NewEngine(cfg)
-}
-
-// NewEngine builds an Engine from DefaultConfig plus options.
-//
-// Deprecated: populate a Config and use NewEngineFromConfig.
-func NewEngine(opts ...Option) *Engine {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return NewEngineFromConfig(cfg)
 }
 
 // Synthesizer is the Duoquest engine bound to one database. It is safe for
@@ -374,16 +261,6 @@ func NewWithConfig(db *Database, cfg Config) *Synthesizer {
 		panic(err)
 	}
 	return &Synthesizer{db: db, eng: eng, ses: ses}
-}
-
-// New builds a Synthesizer for a database with the library defaults plus
-// options. (For new code, populate a Config and use NewWithConfig.)
-func New(db *Database, opts ...Option) *Synthesizer {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return NewWithConfig(db, cfg)
 }
 
 // Engine exposes the Synthesizer's underlying service engine, e.g. to read

@@ -48,9 +48,18 @@ func movieDB(t *testing.T) *duoquest.Database {
 	return duoquest.NewDatabase("movies", schema)
 }
 
+// newSynth builds a Synthesizer over the library defaults with the given
+// search budget and candidate cap.
+func newSynth(db *duoquest.Database, budget time.Duration, maxCandidates int) *duoquest.Synthesizer {
+	cfg := duoquest.DefaultConfig()
+	cfg.Budget = budget
+	cfg.MaxCandidates = maxCandidates
+	return duoquest.NewWithConfig(db, cfg)
+}
+
 func TestSynthesizeDualSpecification(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(3*time.Second), duoquest.WithMaxCandidates(20))
+	syn := newSynth(db, 3*time.Second, 20)
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{
 		NLQ:      "titles of movies before 1995",
 		Literals: []duoquest.Value{duoquest.Number(1995)},
@@ -93,7 +102,7 @@ func TestSynthesizeDualSpecification(t *testing.T) {
 
 func TestSynthesizeNLQOnly(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second), duoquest.WithMaxCandidates(10))
+	syn := newSynth(db, 2*time.Second, 10)
 	res, err := syn.Synthesize(context.Background(), duoquest.Input{NLQ: "all movie titles"})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +114,7 @@ func TestSynthesizeNLQOnly(t *testing.T) {
 
 func TestSynthesizeStreamStops(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db, duoquest.WithBudget(2*time.Second))
+	syn := duoquest.NewWithConfig(db, duoquest.DefaultConfig())
 	n := 0
 	_, err := syn.SynthesizeStream(context.Background(), duoquest.Input{NLQ: "movie titles"},
 		func(c duoquest.Candidate) bool {
@@ -122,7 +131,7 @@ func TestSynthesizeStreamStops(t *testing.T) {
 
 func TestInvalidSketchRejected(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.NewWithConfig(db, duoquest.DefaultConfig())
 	_, err := syn.Synthesize(context.Background(), duoquest.Input{
 		NLQ:    "movies",
 		Sketch: &duoquest.TSQ{Limit: -1},
@@ -134,7 +143,7 @@ func TestInvalidSketchRejected(t *testing.T) {
 
 func TestAutocomplete(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.NewWithConfig(db, duoquest.DefaultConfig())
 	hits := syn.Autocomplete("gump", 5)
 	if len(hits) != 1 || hits[0].Value != "Forrest Gump" {
 		t.Errorf("hits = %v", hits)
@@ -147,7 +156,7 @@ func TestAutocomplete(t *testing.T) {
 
 func TestPreview(t *testing.T) {
 	db := movieDB(t)
-	syn := duoquest.New(db)
+	syn := duoquest.NewWithConfig(db, duoquest.DefaultConfig())
 	q, err := duoquest.ParseSQL(db.Schema, "SELECT title FROM movie")
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +173,12 @@ func TestPreview(t *testing.T) {
 func TestModesExposed(t *testing.T) {
 	db := movieDB(t)
 	for _, mode := range []duoquest.Mode{duoquest.ModeGPQE, duoquest.ModeNoPQ, duoquest.ModeNoGuide} {
-		syn := duoquest.New(db,
-			duoquest.WithMode(mode),
-			duoquest.WithBudget(500*time.Millisecond),
-			duoquest.WithMaxCandidates(5),
-			duoquest.WithMaxStates(20000),
-		)
+		cfg := duoquest.DefaultConfig()
+		cfg.Mode = mode
+		cfg.Budget = 500 * time.Millisecond
+		cfg.MaxCandidates = 5
+		cfg.MaxStates = 20000
+		syn := duoquest.NewWithConfig(db, cfg)
 		if _, err := syn.Synthesize(context.Background(), duoquest.Input{NLQ: "movie titles"}); err != nil {
 			t.Errorf("mode %v: %v", mode, err)
 		}

@@ -34,10 +34,7 @@ func TestEndToEndOnGeneratedBenchmark(t *testing.T) {
 		t.Fatalf("picked %d difficulties", len(picked))
 	}
 	for diff, task := range picked {
-		syn := duoquest.New(task.DB,
-			duoquest.WithBudget(2*time.Second),
-			duoquest.WithMaxCandidates(10),
-		)
+		syn := newSynth(task.DB, 2*time.Second, 10)
 		sketch, err := dataset.SynthesizeTSQ(task, dataset.DetailFull, 99)
 		if err != nil {
 			t.Fatalf("%s: %v", task.ID, err)
@@ -83,10 +80,7 @@ func TestEndToEndOnGeneratedBenchmark(t *testing.T) {
 // find a value through autocomplete, tag it, and synthesize with it.
 func TestEndToEndAutocompleteToSynthesis(t *testing.T) {
 	db := dataset.MAS()
-	syn := duoquest.New(db,
-		duoquest.WithBudget(2*time.Second),
-		duoquest.WithMaxCandidates(5),
-	)
+	syn := newSynth(db, 2*time.Second, 5)
 	hits := syn.Autocomplete("Datab", 3)
 	if len(hits) == 0 || hits[0].Value != "Databases" {
 		t.Fatalf("autocomplete hits = %v", hits)

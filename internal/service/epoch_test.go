@@ -293,11 +293,12 @@ func TestServiceZeroEvictionsOnAppend(t *testing.T) {
 	}
 }
 
-// TestSnapshotSurvivesShardRetirement: with a tight EpochRetention the
-// pinned shard falls out of the live map, but the handle keeps serving its
-// epoch — retirement ends discoverability and per-epoch stats, not reads.
+// TestSnapshotSurvivesShardRetirement: once enough epochs are published
+// the pinned shard falls out of the live map, but the handle keeps serving
+// its epoch — retirement ends discoverability and per-epoch stats, not
+// reads.
 func TestSnapshotSurvivesShardRetirement(t *testing.T) {
-	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3, EpochRetention: 2})
+	e := newTestEngine(t, Config{MaxStates: 2000, MaxCandidates: 3})
 	snap, err := e.Snapshot("movies")
 	if err != nil {
 		t.Fatal(err)
@@ -308,13 +309,13 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each append plus a head-resolving request creates a new shard; with
-	// retention 2 the pinned shard retires quickly.
+	// Each append plus a head-resolving request creates a new shard; twice
+	// the retention bound of them retires the pinned shard.
 	s, err := e.Session("movies")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*shardRetention; i++ {
 		if _, err := e.Append("movies", "movie", movieBatch(i*4)); err != nil {
 			t.Fatal(err)
 		}
@@ -324,8 +325,8 @@ func TestSnapshotSurvivesShardRetirement(t *testing.T) {
 	}
 
 	st := e.Stats().Databases[0]
-	if st.EpochsLive > 2 {
-		t.Errorf("EpochsLive = %d, want <= 2", st.EpochsLive)
+	if st.EpochsLive > shardRetention {
+		t.Errorf("EpochsLive = %d, want <= %d", st.EpochsLive, shardRetention)
 	}
 	if st.EpochsRetired < 1 {
 		t.Errorf("EpochsRetired = %d, want >= 1", st.EpochsRetired)

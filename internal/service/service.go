@@ -71,17 +71,14 @@ type Input struct {
 // Config configures an Engine. The zero value is usable: lexical guidance,
 // Table 4 semantic pruning, GPQE mode, unlimited candidates, no state/time
 // bound, unbounded admission. This struct is the engine's whole
-// configuration surface; the duoquest facade's WithX options are thin
-// deprecated wrappers over it.
+// configuration surface; the duoquest facade re-exports it as
+// duoquest.Config.
 type Config struct {
 	// Model is the guidance model; nil uses the lexical model. The model
 	// is shared by all concurrent requests and must be stateless.
 	Model guidance.Model
-	// Rules is the semantic rule set; NoRules disables pruning, nil uses
-	// the Table 4 defaults.
+	// Rules is the semantic rule set; nil uses the Table 4 defaults.
 	Rules *semrules.RuleSet
-	// NoRules disables semantic pruning (Rules is then ignored).
-	NoRules bool
 	// Mode selects the enumeration variant (default ModeGPQE).
 	Mode enumerate.Mode
 	// Budget bounds wall-clock search time per request (0 = none).
@@ -116,7 +113,7 @@ type Config struct {
 	// result.
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps every request's deadline, including requests that
-	// ask for none (0 = no clamp). The server's ?deadline_ms= knob is bounded
+	// ask for none (0 = no clamp). The server's deadline_ms field is bounded
 	// by this.
 	MaxDeadline time.Duration
 
@@ -134,19 +131,18 @@ type Config struct {
 	// service layer existed. This is the baseline for the throughput
 	// benchmarks and the oracle for the shared-cache differential tests.
 	PerRequestCaches bool
-
-	// LatencyWindow is the per-database ring size for latency quantiles
-	// (<=0 means 1024).
-	LatencyWindow int
-
-	// EpochRetention bounds the live per-epoch cache shards kept per
-	// database (<=0 means 4). When ingest publishes epochs faster than
-	// requests drain, the oldest shard's cache is retired (its cumulative
-	// pipeline counters are folded into the database totals). Pinned
-	// snapshot handles keep working past retirement — only the shard's
-	// discoverability and per-epoch stats end.
-	EpochRetention int
 }
+
+// latencyWindow is the per-database ring size for the latency and
+// cancel-to-return quantiles.
+const latencyWindow = 1024
+
+// shardRetention bounds the live per-epoch cache shards kept per database.
+// When ingest publishes epochs faster than requests drain, the oldest
+// shard's cache is retired (its cumulative pipeline counters are folded
+// into the database totals). Pinned snapshot handles keep working past
+// retirement — only the shard's discoverability and per-epoch stats end.
+const shardRetention = 4
 
 // Engine is the process-wide synthesis service. It is safe for concurrent
 // use; create one per process and share it across all requests.
@@ -188,7 +184,7 @@ type dbState struct {
 	idx     *autocomplete.Index
 
 	// Epoch shards: one frozen snapshot plus its shared caches per epoch
-	// that served (or is serving) requests, bounded by Config.EpochRetention.
+	// that served (or is serving) requests, bounded by shardRetention.
 	epochMu       sync.Mutex
 	shards        map[int64]*epochShard
 	shardOrder    []int64               // creation order, oldest first
@@ -292,11 +288,7 @@ func (ds *dbState) shardFor(snap *storage.Database) *epochShard {
 	}
 	ds.shards[ep] = sh
 	ds.shardOrder = append(ds.shardOrder, ep)
-	max := ds.eng.opts.EpochRetention
-	if max <= 0 {
-		max = 4
-	}
-	for len(ds.shardOrder) > max {
+	for len(ds.shardOrder) > shardRetention {
 		old := ds.shardOrder[0]
 		ds.shardOrder = ds.shardOrder[1:]
 		if osh, ok := ds.shards[old]; ok {
@@ -325,18 +317,12 @@ func (ds *dbState) noteLag(lag int64) {
 
 // NewEngine builds an engine.
 func NewEngine(opts Config) *Engine {
-	if opts.LatencyWindow <= 0 {
-		opts.LatencyWindow = 1024
-	}
 	e := &Engine{opts: opts, model: opts.Model, rules: opts.Rules, dbs: map[string]*dbState{}}
 	if e.model == nil {
 		e.model = guidance.NewLexicalModel()
 	}
-	if e.rules == nil && !opts.NoRules {
+	if e.rules == nil {
 		e.rules = semrules.Default()
-	}
-	if opts.NoRules {
-		e.rules = nil
 	}
 	if opts.MaxInFlight > 0 {
 		e.sem = make(chan struct{}, opts.MaxInFlight)
@@ -378,7 +364,7 @@ func (e *Engine) execCtx(ctx context.Context) context.Context {
 // Provenance records where a registered database's bytes came from — built
 // in memory by this process, or reconstructed from a durable segment store
 // — and, for disk loads, what the load touched. Surfaced through
-// DBStats.Storage and /stats so an operator can tell a cold-started replica
+// DBStats.Storage and /v1/stats so an operator can tell a cold-started replica
 // from a freshly ingested one.
 type Provenance struct {
 	// Source is "memory" for databases built in-process or "disk" for
@@ -420,8 +406,8 @@ func (e *Engine) RegisterWithProvenance(db *storage.Database, prov Provenance) e
 		eng:  e,
 		db:   db,
 		prov: prov,
-		lat:  make([]time.Duration, e.opts.LatencyWindow),
-		cret: make([]time.Duration, e.opts.LatencyWindow),
+		lat:  make([]time.Duration, latencyWindow),
+		cret: make([]time.Duration, latencyWindow),
 	}
 	e.order = append(e.order, db.Name)
 	return nil

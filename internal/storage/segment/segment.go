@@ -64,7 +64,7 @@ func (e *ChunkError) Error() string {
 
 func (e *ChunkError) Unwrap() error { return e.Err }
 
-// LoadInfo summarises one completed load for provenance reporting (/stats):
+// LoadInfo summarises one completed load for provenance reporting (/v1/stats):
 // what was read, the manifest checksum that vouched for it, and how long
 // the cold start took.
 type LoadInfo struct {
